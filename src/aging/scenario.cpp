@@ -11,7 +11,7 @@ AgingScenario::AgingScenario(const Netlist& netlist, const TechLibrary& tech,
     : netlist_(&netlist),
       tech_(&tech),
       model_(model),
-      stress_(estimate_stress(netlist, tech, seed, stress_patterns)) {}
+      stress_(estimate_stress(netlist, seed, stress_patterns)) {}
 
 AgingScenario::AgingScenario(const Netlist& netlist, const TechLibrary& tech,
                              BtiModel model, StressProfile profile)
@@ -19,7 +19,9 @@ AgingScenario::AgingScenario(const Netlist& netlist, const TechLibrary& tech,
       tech_(&tech),
       model_(model),
       stress_(std::move(profile)) {
-  if (stress_.pmos_stress.size() != netlist.num_gates()) {
+  if (stress_.net_p_one.size() != netlist.num_nets() ||
+      stress_.pmos_stress.size() != netlist.num_gates() ||
+      stress_.nmos_stress.size() != netlist.num_gates()) {
     throw std::invalid_argument(
         "AgingScenario: stress profile does not match the netlist");
   }

@@ -22,7 +22,9 @@ class AgingScenario {
                 std::size_t stress_patterns = 2000);
 
   /// Uses a precomputed stress profile (e.g. `analytic_stress` from
-  /// aging/prob_propagation.hpp) instead of Monte-Carlo extraction.
+  /// aging/prob_propagation.hpp) instead of Monte-Carlo extraction. Throws
+  /// std::invalid_argument unless the profile has one `net_p_one` per net
+  /// and one `pmos_stress` and `nmos_stress` per gate.
   AgingScenario(const Netlist& netlist, const TechLibrary& tech,
                 BtiModel model, StressProfile profile);
 

@@ -1,30 +1,40 @@
 #include "src/aging/stress.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <stdexcept>
 
-#include "src/sim/timing_sim.hpp"
+#include "src/sim/value_sweep.hpp"
 #include "src/workload/rng.hpp"
 
 namespace agingsim {
 
-StressProfile estimate_stress(const Netlist& netlist, const TechLibrary& tech,
-                              std::uint64_t seed, std::size_t num_patterns) {
+StressProfile estimate_stress(const Netlist& netlist, std::uint64_t seed,
+                              std::size_t num_patterns) {
   if (num_patterns == 0) {
     throw std::invalid_argument("estimate_stress: need at least one pattern");
   }
-  TimingSim sim(netlist, tech);
+  ValueSweep sweep(netlist);
   Rng rng(seed);
-  std::vector<Logic> pattern(netlist.num_inputs());
+  std::vector<std::uint64_t> words(netlist.num_inputs());
   std::vector<std::uint64_t> ones(netlist.num_nets(), 0);
 
-  for (std::size_t p = 0; p < num_patterns; ++p) {
-    for (auto& v : pattern) {
-      v = logic_from_bool((rng.next() & 1) != 0);
+  for (std::size_t done = 0; done < num_patterns;) {
+    const int lanes = static_cast<int>(std::min<std::size_t>(
+        static_cast<std::size_t>(kBatchLanes), num_patterns - done));
+    // Lane l is pattern done + l; draws stay pattern-major, then in input
+    // order, so the vectors are the ones a pattern-at-a-time loop applies.
+    std::fill(words.begin(), words.end(), 0);
+    for (int l = 0; l < lanes; ++l) {
+      for (std::uint64_t& w : words) w |= (rng.next() & 1u) << l;
     }
-    sim.step(pattern);
+    sweep.step_word(words, lanes);
     for (NetId n = 0; n < netlist.num_nets(); ++n) {
-      if (sim.value(n) == Logic::kOne) ++ones[n];
+      const LogicWord v = sweep.word(n);
+      ones[n] += static_cast<std::uint64_t>(
+          std::popcount(v.p0 & ~v.p1 & sweep.lane_mask()));
     }
+    done += static_cast<std::size_t>(lanes);
   }
 
   StressProfile prof;

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "src/netlist/netlist.hpp"
-#include "src/netlist/techlib.hpp"
 
 namespace agingsim {
 
@@ -22,9 +21,13 @@ struct StressProfile {
 };
 
 /// Estimates signal probabilities by driving the netlist with `num_patterns`
-/// uniform random input vectors (seeded, reproducible). Tri-state keeper
-/// states are handled naturally by the timing simulator.
-StressProfile estimate_stress(const Netlist& netlist, const TechLibrary& tech,
-                              std::uint64_t seed, std::size_t num_patterns);
+/// uniform random input vectors (seeded, reproducible) and counting, per
+/// net, the patterns that leave it at logic 1. The vectors are applied in
+/// sequence from power-up X, 64 per word of a values-only logic sweep
+/// (sim/value_sweep.hpp), so tri-state keepers hold their last driven
+/// value from one vector to the next exactly as in a pattern-at-a-time
+/// simulation. Throws std::invalid_argument if `num_patterns` is 0.
+StressProfile estimate_stress(const Netlist& netlist, std::uint64_t seed,
+                              std::size_t num_patterns);
 
 }  // namespace agingsim

@@ -1,12 +1,13 @@
 #include "src/lint/repair.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
 
 #include "src/netlist/surgeon.hpp"
-#include "src/sim/batch_sim.hpp"
+#include "src/sim/value_sweep.hpp"
 #include "src/workload/rng.hpp"
 
 namespace agingsim::lint {
@@ -56,7 +57,6 @@ void splice_overlays(std::vector<StaCorner>& corners, std::size_t pos,
 }  // namespace
 
 EquivalenceSummary check_logic_equivalence(const Netlist& a, const Netlist& b,
-                                           const TechLibrary& tech,
                                            std::size_t vectors,
                                            std::uint64_t seed) {
   if (a.num_inputs() != b.num_inputs() ||
@@ -68,8 +68,8 @@ EquivalenceSummary check_logic_equivalence(const Netlist& a, const Netlist& b,
   if (vectors == 0) return s;
   s.checked = true;
 
-  BatchTimingSim sim_a(a, tech);
-  BatchTimingSim sim_b(b, tech);
+  ValueSweep sweep_a(a);
+  ValueSweep sweep_b(b);
   Rng rng(seed);
   std::vector<std::uint64_t> words(a.num_inputs());
   bool first_word = true;
@@ -85,16 +85,13 @@ EquivalenceSummary check_logic_equivalence(const Netlist& a, const Netlist& b,
       for (std::uint64_t& w : words) w |= 1ULL;
       first_word = false;
     }
-    sim_a.step_word(words, lanes);
-    sim_b.step_word(words, lanes);
+    sweep_a.step_word(words, lanes);
+    sweep_b.step_word(words, lanes);
     for (std::size_t i = 0; i < a.num_outputs(); ++i) {
-      const NetId oa = a.output_nets()[i];
-      const NetId ob = b.output_nets()[i];
-      for (int l = 0; l < lanes; ++l) {
-        if (sim_a.lane_value(oa, l) != sim_b.lane_value(ob, l)) {
-          ++s.mismatches;
-        }
-      }
+      const LogicWord va = sweep_a.word(a.output_nets()[i]);
+      const LogicWord vb = sweep_b.word(b.output_nets()[i]);
+      s.mismatches += static_cast<std::size_t>(std::popcount(
+          ((va.p0 ^ vb.p0) | (va.p1 ^ vb.p1)) & sweep_a.lane_mask()));
     }
     done += static_cast<std::size_t>(lanes);
   }
@@ -410,7 +407,7 @@ HoldRepairResult repair_hold(Netlist& netlist, const TechLibrary& tech,
 
   if (config.verify_equivalence) {
     res.equivalence = check_logic_equivalence(
-        original, netlist, tech, config.equiv_vectors, config.equiv_seed);
+        original, netlist, config.equiv_vectors, config.equiv_seed);
   }
   return res;
 }

@@ -125,14 +125,13 @@ HoldRepairResult repair_hold(Netlist& netlist, const TechLibrary& tech,
                              const HoldRepairConfig& config = {});
 
 /// Exact logic-equivalence check between two netlists with identical
-/// input/output interfaces: drives both through the 64-lane batch timing
-/// kernel on `vectors` seeded patterns (the first is all-ones, flushing
-/// power-up X through tri-state keeper structures) and compares every
-/// primary output's settled Logic value lane by lane — X-safe, no
-/// output_bits packing. Throws std::invalid_argument when the interfaces
-/// differ.
+/// input/output interfaces: drives both through the 64-lane values-only
+/// sweep (sim/value_sweep.hpp) on `vectors` seeded patterns (the first is
+/// all-ones, flushing power-up X through tri-state keeper structures) and
+/// compares every primary output's settled Logic value lane by lane —
+/// X-safe, no output_bits packing. Throws std::invalid_argument when the
+/// interfaces differ.
 EquivalenceSummary check_logic_equivalence(const Netlist& a, const Netlist& b,
-                                           const TechLibrary& tech,
                                            std::size_t vectors,
                                            std::uint64_t seed);
 

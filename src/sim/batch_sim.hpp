@@ -53,13 +53,9 @@
 #include "src/netlist/netlist.hpp"
 #include "src/netlist/techlib.hpp"
 #include "src/sim/timing_sim.hpp"
+#include "src/sim/word_logic.hpp"
 
 namespace agingsim {
-
-/// Lanes per word. The SWAR baseline packs 64 patterns per uint64_t; the
-/// AVX2 backend (runtime-dispatched, see batch_sim.cpp) vectorizes the
-/// per-lane density/arrival recurrences over the same 64-lane words.
-inline constexpr int kBatchLanes = 64;
 
 /// Cumulative counters for one BatchTimingSim (mirrored into the process
 /// sim.batch.* metrics when obs is enabled).

@@ -16,6 +16,7 @@
 #include "src/fault/fault.hpp"
 #include "src/netlist/netlist.hpp"
 #include "src/sim/batch_sim.hpp"
+#include "src/sim/word_logic.hpp"
 
 namespace agingsim::detail {
 

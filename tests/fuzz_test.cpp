@@ -10,14 +10,18 @@
 #include <cmath>
 #include <vector>
 
+#include "src/aging/stress.hpp"
 #include "src/lint/engine.hpp"
 #include "src/lint/repair.hpp"
+#include "src/multiplier/multiplier.hpp"
+#include "src/netlist/builder.hpp"
 #include "src/netlist/netlist.hpp"
 #include "src/netlist/surgeon.hpp"
 #include "src/netlist/techlib.hpp"
 #include "src/sim/sta.hpp"
 #include "src/sim/timing_sim.hpp"
 #include "src/workload/rng.hpp"
+#include "tests/stress_oracle.hpp"
 
 namespace agingsim {
 namespace {
@@ -246,10 +250,121 @@ TEST(FuzzTest, BenignBufferInsertionsStayLintCleanAndEquivalent) {
     ASSERT_NO_THROW(nl.validate()) << "trial " << trial;
     EXPECT_EQ(lint_errors(nl), 0u) << "benign mutation flagged, trial "
                                    << trial;
-    const lint::EquivalenceSummary eq = lint::check_logic_equivalence(
-        original, nl, default_tech_library(), 64, 0xF028u + trial);
+    const lint::EquivalenceSummary eq =
+        lint::check_logic_equivalence(original, nl, 64, 0xF028u + trial);
     EXPECT_TRUE(eq.ok()) << "logic changed, trial " << trial << " ("
                          << eq.mismatches << " lanes)";
+  }
+}
+
+/// Output lanes on which `a` and `b` disagree over the vectors
+/// check_logic_equivalence draws, stepped one at a time through two scalar
+/// simulators.
+std::size_t scalar_output_mismatches(const Netlist& a, const Netlist& b,
+                                     std::size_t vectors, std::uint64_t seed) {
+  TimingSim sim_a(a, default_tech_library());
+  TimingSim sim_b(b, default_tech_library());
+  Rng rng(seed);
+  std::vector<std::uint64_t> words(a.num_inputs());
+  std::vector<Logic> pattern(a.num_inputs());
+  std::size_t mismatches = 0;
+  for (std::size_t v = 0; v < vectors; ++v) {
+    const int lane = static_cast<int>(v % 64);
+    if (lane == 0) {
+      for (std::uint64_t& w : words) w = rng.next() | (v == 0 ? 1u : 0u);
+    }
+    for (std::size_t i = 0; i < words.size(); ++i) {
+      pattern[i] = logic_from_bool(((words[i] >> lane) & 1u) != 0);
+    }
+    sim_a.step(pattern);
+    sim_b.step(pattern);
+    for (std::size_t o = 0; o < a.num_outputs(); ++o) {
+      if (sim_a.value(a.output_nets()[o]) != sim_b.value(b.output_nets()[o])) {
+        ++mismatches;
+      }
+    }
+  }
+  return mismatches;
+}
+
+// The values-only sweep behind check_logic_equivalence must still see a
+// changed function: one gate swapped for another of the same arity is
+// reported on exactly the lanes the scalar simulator disagrees on.
+TEST(FuzzTest, EquivalenceCheckCountsAlteredLogicExactly) {
+  MultiplierNetlist mult = build_column_bypass_multiplier(8);
+  const Netlist original = mult.netlist;
+  // p[0] = a0 AND b0; as an OR it differs whenever exactly one is odd.
+  const auto driver = mult.netlist.driver_of(mult.netlist.output_nets()[0]);
+  ASSERT_GE(driver, 0);
+  NetlistSurgeon(mult.netlist)
+      .set_gate_kind(static_cast<GateId>(driver), CellKind::kOr2);
+  const lint::EquivalenceSummary eq =
+      lint::check_logic_equivalence(original, mult.netlist, 200, 0xE9u);
+  EXPECT_FALSE(eq.ok());
+  EXPECT_GT(eq.mismatches, 0u);
+  EXPECT_EQ(eq.mismatches,
+            scalar_output_mismatches(original, mult.netlist, 200, 0xE9u));
+
+  // An output stuck at X (a tri-state never enabled) differs from a
+  // constant 0 only in the unknown plane: every lane mismatches.
+  NetlistBuilder floating;
+  {
+    const NetId a = floating.input("a");
+    const NetId b = floating.input("b");
+    floating.netlist().mark_output(
+        floating.tbuf(a, floating.and2(b, floating.inv(b))), "y");
+  }
+  NetlistBuilder grounded;
+  {
+    const NetId a = grounded.input("a");
+    grounded.input("b");
+    grounded.netlist().mark_output(grounded.and2(a, grounded.inv(a)), "y");
+  }
+  EXPECT_EQ(lint::check_logic_equivalence(floating.netlist(),
+                                          grounded.netlist(), 100, 3)
+                .mismatches,
+            100u);
+
+  constexpr CellKind kTwoInput[] = {CellKind::kAnd2, CellKind::kNand2,
+                                    CellKind::kOr2,  CellKind::kNor2,
+                                    CellKind::kXor2, CellKind::kXnor2};
+  Rng rng(0xF02A);
+  int altered = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    Netlist nl = random_netlist(rng, 6, 40);
+    const Netlist before = nl;
+    const GateId g = static_cast<GateId>(rng.next_below(nl.num_gates()));
+    if (cell_traits(nl.gate(g).kind).num_inputs != 2 ||
+        nl.gate(g).kind == CellKind::kTbuf) {
+      continue;
+    }
+    CellKind kind = nl.gate(g).kind;
+    while (kind == nl.gate(g).kind) kind = kTwoInput[rng.next_below(6)];
+    NetlistSurgeon(nl).set_gate_kind(g, kind);
+    ++altered;
+    const std::uint64_t seed = rng.next();
+    EXPECT_EQ(lint::check_logic_equivalence(before, nl, 130, seed).mismatches,
+              scalar_output_mismatches(before, nl, 130, seed))
+        << "trial " << trial;
+  }
+  EXPECT_GT(altered, 10);
+}
+
+// estimate_stress against the pattern-at-a-time scalar oracle on random
+// netlists: tri-states fed by power-up X or rarely enabled, muxes with X
+// data and ties, over pattern counts whose last word is partial and whose
+// keeper state crosses word edges.
+TEST(FuzzTest, StressWordSweepMatchesScalarOracle) {
+  Rng rng(0xF029);
+  for (int trial = 0; trial < 300; ++trial) {
+    const Netlist nl = random_netlist(rng, 6, 60);
+    for (const std::size_t n : {1, 37, 64, 65, 130, 200}) {
+      const std::uint64_t seed = rng.next();
+      ASSERT_TRUE(testing_oracle::identical_profiles(
+          estimate_stress(nl, seed, n),
+          testing_oracle::scalar_stress(nl, seed, n)))
+          << "trial " << trial << " patterns " << n;
+    }
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "src/multiplier/multiplier.hpp"
 #include "src/sim/sta.hpp"
 
@@ -52,6 +54,20 @@ TEST_F(ScenarioFixture, SevenYearCriticalPathDegradationNearPaperValue) {
 TEST_F(ScenarioFixture, StressProfileIsExposed) {
   EXPECT_EQ(scenario_.stress().pmos_stress.size(), mult_.netlist.num_gates());
   EXPECT_GT(scenario_.model().kdc(), 0.0);
+}
+
+TEST_F(ScenarioFixture, MisSizedProfileIsRejected) {
+  const BtiModel model = BtiModel::calibrated(tech_);
+  StressProfile short_nmos = scenario_.stress();
+  short_nmos.nmos_stress.pop_back();
+  EXPECT_THROW(AgingScenario(mult_.netlist, tech_, model, short_nmos),
+               std::invalid_argument);
+  StressProfile short_nets = scenario_.stress();
+  short_nets.net_p_one.pop_back();
+  EXPECT_THROW(AgingScenario(mult_.netlist, tech_, model, short_nets),
+               std::invalid_argument);
+  EXPECT_NO_THROW(
+      AgingScenario(mult_.netlist, tech_, model, scenario_.stress()));
 }
 
 }  // namespace

@@ -77,8 +77,8 @@ TEST(SurgeonInsertBufferTest, RenumbersAndStaysStructurallyClean) {
   }
   EXPECT_TRUE(sink_reads_tail);
 
-  const lint::EquivalenceSummary eq = lint::check_logic_equivalence(
-      original, fa.netlist(), default_tech_library(), 128, 0xD1FFu);
+  const lint::EquivalenceSummary eq =
+      lint::check_logic_equivalence(original, fa.netlist(), 128, 0xD1FFu);
   EXPECT_TRUE(eq.ok()) << eq.mismatches << " mismatching lanes";
 }
 
@@ -144,8 +144,8 @@ TEST(SurgeonInsertOutputBufferTest, AppendsWithoutRenumbering) {
   EXPECT_DOUBLE_EQ(after.arrival_ps[new_out],
                    before.arrival_ps[fa.sum] + 2.0 * t.delay(CellKind::kBuf));
 
-  const lint::EquivalenceSummary eq = lint::check_logic_equivalence(
-      original, fa.netlist(), t, 128, 0xD1FFu);
+  const lint::EquivalenceSummary eq =
+      lint::check_logic_equivalence(original, fa.netlist(), 128, 0xD1FFu);
   EXPECT_TRUE(eq.ok());
 }
 
@@ -180,8 +180,8 @@ TEST(SurgeonInsertBufferTest, StockMultiplierSurvivesScatteredInsertions) {
     NetlistSurgeon(mult.netlist).insert_output_buffer(0, 3);
     mult.netlist.validate();
     EXPECT_EQ(structural_errors(mult.netlist), 0u) << arch_name(arch);
-    const lint::EquivalenceSummary eq = lint::check_logic_equivalence(
-        original, mult.netlist, default_tech_library(), 192, 0xBEEFu);
+    const lint::EquivalenceSummary eq =
+        lint::check_logic_equivalence(original, mult.netlist, 192, 0xBEEFu);
     EXPECT_TRUE(eq.ok()) << arch_name(arch) << ": " << eq.mismatches
                          << " mismatching lanes";
   }
