@@ -1,7 +1,8 @@
 // Micro-benchmarks for the simulation substrate itself, reported as JSON on
-// stdout: netlist construction, static timing, per-pattern step-kernel
-// throughput (dense sweep vs sparse event-driven, with the evaluated-gate
-// fraction that explains the gap), the architectural policy replay, and
+// stdout: netlist construction, static timing, step-kernel throughput
+// (the 64-lane batch kernel vs the dense scalar oracle, with the batch
+// kernel's evaluated-word fraction and lane-state heap), the architectural
+// policy replay, and
 // parallel sweep scaling across thread counts. This is the repo's perf
 // trajectory baseline — run it before and after touching the hot paths.
 //
@@ -45,31 +46,27 @@ double time_best_ms(int reps, F&& f) {
 
 struct KernelNumbers {
   double steps_per_sec = 0.0;
-  double evaluated_fraction = 1.0;  // mean gates_evaluated / gates_total
+  double evaluated_fraction = 1.0;  // batch: evaluated gates / dense words
   std::uint64_t checksum = 0;       // xor of products: cross-kernel check
   double replay_fraction = 0.0;     // batch kernel only: audited lanes
+  std::size_t state_bytes = 0;      // batch kernel only: lane-state heap
 };
 
-KernelNumbers run_kernel(const MultiplierNetlist& m, TimingSim::Mode mode,
-                         std::span<const OperandPattern> patterns) {
+/// The dense scalar oracle, one TimingSim step per pattern.
+KernelNumbers run_dense(const MultiplierNetlist& m,
+                        std::span<const OperandPattern> patterns) {
   MultiplierSim sim(m, tech());
-  sim.set_mode(mode);
   const std::size_t ops = patterns.size();
-  std::uint64_t evaluated = 0, total = 0, checksum = 0;
+  std::uint64_t checksum = 0;
   const double t0 = now_ms();
   for (std::size_t i = 0; i < ops; ++i) {
-    const StepResult s = sim.apply(patterns[i].a, patterns[i].b);
-    evaluated += s.gates_evaluated;
-    total += s.gates_total;
+    sim.apply(patterns[i].a, patterns[i].b);
     checksum ^= sim.product() + i;
   }
   const double elapsed_ms = now_ms() - t0;
   KernelNumbers out;
   out.steps_per_sec =
       elapsed_ms > 0.0 ? 1000.0 * static_cast<double>(ops) / elapsed_ms : 0.0;
-  out.evaluated_fraction =
-      total > 0 ? static_cast<double>(evaluated) / static_cast<double>(total)
-                : 1.0;
   out.checksum = checksum;
   return out;
 }
@@ -110,6 +107,7 @@ KernelNumbers run_batch(const MultiplierNetlist& m,
                       : 1.0;
   out.checksum = checksum;
   out.replay_fraction = stats.replay_fraction();
+  out.state_bytes = sim.state_bytes();
   return out;
 }
 
@@ -149,11 +147,11 @@ static int bench_body() {
         time_best_ms(3, [&] { (void)critical_path_ps(cb32, tech()); }));
   }
 
-  // --- Step kernel: dense sweep vs sparse event-driven -----------------
-  // Two operand streams per architecture: i.i.d. uniform (worst case for
-  // sparsity — nearly every gate glitches) and a FIR-tap stream (fixed
-  // coefficient x band-limited signal — the bypassing architectures' actual
-  // use case, where most of the array freezes).
+  // --- Step kernel: batch words vs the dense scalar oracle -------------
+  // Two operand streams per architecture: i.i.d. uniform (nearly every
+  // gate glitches in every word) and a FIR-tap stream (fixed coefficient x
+  // band-limited signal — the bypassing architectures' actual use case,
+  // where most of the array freezes and whole words skip gates).
   json.key("kernel").begin_array();
   for (const auto arch : {MultiplierArch::kArray, MultiplierArch::kColumnBypass,
                           MultiplierArch::kRowBypass}) {
@@ -165,10 +163,7 @@ static int bench_body() {
     } streams[] = {{"uniform", uniform_patterns(uniform_rng, 16, ops)},
                    {"fir_tap", fir_tap_patterns(tap_rng, 16, ops)}};
     for (const auto& stream : streams) {
-      const KernelNumbers dense =
-          run_kernel(m, TimingSim::Mode::kDense, stream.patterns);
-      const KernelNumbers sparse =
-          run_kernel(m, TimingSim::Mode::kSparse, stream.patterns);
+      const KernelNumbers dense = run_dense(m, stream.patterns);
       const KernelNumbers batch = run_batch(m, stream.patterns);
       json.begin_object();
       json.key("multiplier").value(std::string(arch_name(arch)) + "16");
@@ -176,24 +171,17 @@ static int bench_body() {
       json.key("gates").value(
           static_cast<std::uint64_t>(m.netlist.num_gates()));
       json.key("dense_steps_per_sec").value(dense.steps_per_sec);
-      json.key("sparse_steps_per_sec").value(sparse.steps_per_sec);
       json.key("batch_steps_per_sec").value(batch.steps_per_sec);
-      json.key("sparse_speedup")
+      json.key("batch_speedup_vs_dense")
           .value(dense.steps_per_sec > 0.0
-                     ? sparse.steps_per_sec / dense.steps_per_sec
+                     ? batch.steps_per_sec / dense.steps_per_sec
                      : 0.0);
-      json.key("batch_speedup_vs_sparse")
-          .value(sparse.steps_per_sec > 0.0
-                     ? batch.steps_per_sec / sparse.steps_per_sec
-                     : 0.0);
-      json.key("sparse_evaluated_gate_fraction")
-          .value(sparse.evaluated_fraction);
       json.key("batch_evaluated_word_fraction")
           .value(batch.evaluated_fraction);
       json.key("batch_replay_fraction").value(batch.replay_fraction);
-      json.key("products_identical")
-          .value(dense.checksum == sparse.checksum &&
-                 sparse.checksum == batch.checksum);
+      json.key("batch_state_bytes")
+          .value(static_cast<std::uint64_t>(batch.state_bytes));
+      json.key("products_identical").value(dense.checksum == batch.checksum);
       json.end_object();
     }
   }
@@ -216,9 +204,8 @@ static int bench_body() {
       std::vector<std::vector<OpTrace>> result;
       const double ms = time_best_ms(2, [&] {
         result = exec::parallel_for_indexed(pool, kTraces, [&](std::size_t t) {
-          return compute_op_trace(
-              m, tech(), workload(16, trace_ops, 0xB000 + t),
-              TraceOptions{.kernel = SimKernel::kBatch});
+          return compute_op_trace(m, tech(),
+                                  workload(16, trace_ops, 0xB000 + t));
         });
       });
       if (threads == 1) {

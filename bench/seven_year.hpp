@@ -38,9 +38,9 @@ inline void run_seven_year_figure(const char* fig, int width,
   const char* names[kDesigns] = {"AM", "FLCB", "FLRB", "A-VLCB", "A-VLRB"};
   std::array<std::array<RunStats, kDesigns>, 8> stats;
 
-  // One independent simulator per (year, design): the year points fan out
-  // across the RobustRunner (which parallelizes via the same pool layer),
-  // each replaying the shared pattern set through its own aged trace.
+  // One independent year row per work unit: the year points fan out across
+  // the RobustRunner (which parallelizes via the same pool layer), each
+  // replaying the shared pattern set through its own aged traces.
   // Results land in year order, so output is byte-identical to the serial
   // sweep for any AGINGSIM_THREADS setting — and, because each year row is
   // persisted as one checkpoint unit the moment it completes, a run killed
@@ -48,26 +48,36 @@ inline void run_seven_year_figure(const char* fig, int width,
   // byte-identical figures (docs/ROBUSTNESS.md).
   const auto compute_year_row = [&](std::size_t y) {
     const double year = static_cast<double>(y);
-    const auto run_fixed = [&](const Arch& a) {
-      const auto scales = a.scenario.delay_scales_at(year);
-      const auto trace = compute_op_trace(a.mult, t, pats, scales);
+    // One aged overlay and trace per architecture and year serves both its
+    // fixed-latency and its variable-latency design.
+    struct Aged {
+      std::vector<double> scales;
+      std::vector<OpTrace> trace;
+    };
+    const auto age = [&](const Arch& a) {
+      Aged aged{a.scenario.delay_scales_at(year), {}};
+      aged.trace = compute_op_trace(a.mult, t, pats, aged.scales);
+      return aged;
+    };
+    const auto run_fixed = [&](const Arch& a, const Aged& aged) {
       FixedLatencySystem sys(a.mult, t);
-      return sys.run(trace, critical_path_ps(a.mult, t, scales),
+      return sys.run(aged.trace, critical_path_ps(a.mult, t, aged.scales),
                      a.scenario.mean_dvth_at(year));
     };
-    const auto run_vl = [&](const Arch& a) {
-      const auto scales = a.scenario.delay_scales_at(year);
-      const auto trace = compute_op_trace(a.mult, t, pats, scales);
+    const auto run_vl = [&](const Arch& a, const Aged& aged) {
       VlSystemConfig cfg;
       cfg.period_ps = vl_period_ps;
       cfg.ahl.width = width;
       cfg.ahl.skip = skip;
       VariableLatencySystem sys(a.mult, t, cfg);
-      return sys.run(trace, a.scenario.mean_dvth_at(year));
+      return sys.run(aged.trace, a.scenario.mean_dvth_at(year));
     };
-    return std::array<RunStats, kDesigns>{run_fixed(am), run_fixed(cb),
-                                          run_fixed(rb), run_vl(cb),
-                                          run_vl(rb)};
+    const Aged am_aged = age(am);
+    const Aged cb_aged = age(cb);
+    const Aged rb_aged = age(rb);
+    return std::array<RunStats, kDesigns>{
+        run_fixed(am, am_aged), run_fixed(cb, cb_aged),
+        run_fixed(rb, rb_aged), run_vl(cb, cb_aged), run_vl(rb, rb_aged)};
   };
 
   runtime::RunnerConfig runner_config = runtime::RunnerConfig::from_env();

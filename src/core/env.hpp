@@ -56,8 +56,8 @@ std::optional<std::string> str_var(const char* name);
 /// Reads `name` and matches it (exact, case-sensitive) against `choices`.
 /// Returns the matched index; unset/empty is silently nullopt, and a value
 /// matching no choice warns once (listing the accepted spellings) and
-/// returns nullopt so the caller's default wins — AGINGSIM_KERNEL=Batch
-/// must degrade loudly to the sparse kernel, never abort a campaign.
+/// returns nullopt so the caller's default wins — a misspelled mode knob
+/// must degrade loudly to the default, never abort a campaign.
 std::optional<std::size_t> choice_var(const char* name,
                                       std::span<const char* const> choices);
 

@@ -28,8 +28,7 @@ std::string to_hex(std::uint64_t v) {
 }
 
 // Without injected faults a mismatch is a netlist or simulator bug; carry
-// everything needed to reproduce it in the message. Shared by the scalar
-// and batch trace paths so the oracle's contract is kernel-independent.
+// everything needed to reproduce it in the message.
 [[noreturn]] void throw_product_mismatch(std::size_t index, std::uint64_t a,
                                          std::uint64_t b, std::uint64_t golden,
                                          std::uint64_t product) {
@@ -41,29 +40,12 @@ std::string to_hex(std::uint64_t v) {
       to_hex(product) + ")");
 }
 
-/// Fills one OpTrace from per-op observables and the previous op's state.
-OpTrace make_op(std::uint64_t a, std::uint64_t b, std::uint64_t product,
-                int width, double delay_ps, double switched_cap_ff,
-                bool fault_active, bool first, std::uint64_t prev_a,
-                std::uint64_t prev_b, std::uint64_t prev_p) {
-  OpTrace op;
-  op.a = a;
-  op.b = b;
-  op.product = product;
-  op.golden = reference_multiply(a, b, width);
-  op.correct = (op.product == op.golden);
-  op.fault_active = fault_active;
-  op.delay_ps = delay_ps;
-  op.switched_cap_ff = switched_cap_ff;
-  op.in_toggles =
-      first ? 0 : std::popcount(a ^ prev_a) + std::popcount(b ^ prev_b);
-  op.out_toggles = first ? 0 : std::popcount(product ^ prev_p);
-  return op;
-}
+}  // namespace
 
-std::vector<OpTrace> compute_op_trace_batch(
-    const MultiplierNetlist& mult, const TechLibrary& tech,
-    std::span<const OperandPattern> patterns, const TraceOptions& options) {
+std::vector<OpTrace> compute_op_trace(const MultiplierNetlist& mult,
+                                      const TechLibrary& tech,
+                                      std::span<const OperandPattern> patterns,
+                                      const TraceOptions& options) {
   BatchTimingSim sim(mult.netlist, tech, options.gate_delay_scale);
   if (options.faults != nullptr) sim.set_fault_overlay(options.faults);
   const double guard =
@@ -75,8 +57,6 @@ std::vector<OpTrace> compute_op_trace_batch(
   std::vector<OpTrace> trace;
   trace.reserve(patterns.size());
   std::vector<std::uint64_t> words(mult.netlist.input_nets().size());
-  std::uint64_t prev_a = 0, prev_b = 0, prev_p = 0;
-  bool first = true;
   for (std::size_t chunk = 0; chunk < patterns.size();
        chunk += static_cast<std::size_t>(kBatchLanes)) {
     const int lanes = static_cast<int>(
@@ -91,64 +71,31 @@ std::vector<OpTrace> compute_op_trace_batch(
     const std::span<const StepResult> results = sim.step_word(words, lanes);
     for (int l = 0; l < lanes; ++l) {
       const OperandPattern& pat = patterns[chunk + static_cast<std::size_t>(l)];
-      const bool fault_active =
+      const StepResult& step = results[static_cast<std::size_t>(l)];
+      OpTrace op;
+      op.a = pat.a;
+      op.b = pat.b;
+      op.product = sim.output_bits(l);
+      op.golden = reference_multiply(pat.a, pat.b, mult.width);
+      op.correct = (op.product == op.golden);
+      op.fault_active =
           options.faults != nullptr && options.faults->active_at(base + l);
-      const OpTrace op = make_op(
-          pat.a, pat.b, sim.output_bits(l), mult.width,
-          results[static_cast<std::size_t>(l)].output_settle_ps,
-          results[static_cast<std::size_t>(l)].switched_cap_ff, fault_active,
-          first, prev_a, prev_b, prev_p);
+      op.delay_ps = step.output_settle_ps;
+      op.switched_cap_ff = step.switched_cap_ff;
+      if (!trace.empty()) {
+        const OpTrace& prev = trace.back();
+        op.in_toggles = std::popcount(pat.a ^ prev.a) +
+                        std::popcount(pat.b ^ prev.b);
+        op.out_toggles = std::popcount(op.product ^ prev.product);
+      }
       if (!op.correct && options.faults == nullptr) {
         throw_product_mismatch(trace.size(), pat.a, pat.b, op.golden,
                                op.product);
       }
       trace.push_back(op);
-      prev_a = pat.a;
-      prev_b = pat.b;
-      prev_p = op.product;
-      first = false;
     }
   }
   if (options.batch_stats != nullptr) *options.batch_stats = sim.stats();
-  return trace;
-}
-
-}  // namespace
-
-std::vector<OpTrace> compute_op_trace(const MultiplierNetlist& mult,
-                                      const TechLibrary& tech,
-                                      std::span<const OperandPattern> patterns,
-                                      const TraceOptions& options) {
-  const SimKernel kernel = resolve_kernel(options.kernel);
-  if (kernel == SimKernel::kBatch) {
-    return compute_op_trace_batch(mult, tech, patterns, options);
-  }
-  MultiplierSim sim(mult, tech, options.gate_delay_scale);
-  if (kernel == SimKernel::kDense) sim.set_mode(TimingSim::Mode::kDense);
-  if (options.faults != nullptr) sim.set_fault_overlay(options.faults);
-  std::vector<OpTrace> trace;
-  trace.reserve(patterns.size());
-  std::uint64_t prev_a = 0, prev_b = 0, prev_p = 0;
-  bool first = true;
-  for (const OperandPattern& pat : patterns) {
-    const std::int64_t cycle = sim.timing_sim().steps();
-    const StepResult step = sim.apply(pat.a, pat.b);
-    const bool fault_active =
-        options.faults != nullptr && options.faults->active_at(cycle);
-    const OpTrace op =
-        make_op(pat.a, pat.b, sim.product(), mult.width, step.output_settle_ps,
-                step.switched_cap_ff, fault_active, first, prev_a, prev_b,
-                prev_p);
-    if (!op.correct && options.faults == nullptr) {
-      throw_product_mismatch(trace.size(), pat.a, pat.b, op.golden,
-                             op.product);
-    }
-    trace.push_back(op);
-    prev_a = pat.a;
-    prev_b = pat.b;
-    prev_p = op.product;
-    first = false;
-  }
   return trace;
 }
 

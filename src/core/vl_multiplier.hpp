@@ -44,26 +44,22 @@ struct TraceOptions {
   /// (`OpTrace::correct`) instead of thrown — wrong products are the very
   /// thing a fault campaign measures.
   const FaultOverlay* faults = nullptr;
-  /// Step kernel. kAuto resolves through AGINGSIM_KERNEL (default: sparse).
-  /// Every kernel produces a bit-identical trace; kBatch packs 64 patterns
-  /// per sweep (see src/sim/batch_sim.hpp) and is 1-2 orders of magnitude
-  /// faster on long pattern streams.
-  SimKernel kernel = SimKernel::kAuto;
-  /// Batch-kernel self-audit (ignored by the scalar kernels): lanes whose
-  /// settled delay lands within the guard margin of any of these decision
+  /// Scalar-replay self-audit of the batch kernel: lanes whose settled
+  /// delay lands within the guard margin of any of these decision
   /// thresholds (cycle period, 2x period, ...) are replayed through the
-  /// scalar kernel and cross-checked.
+  /// scalar TimingSim and cross-checked.
   std::span<const double> timing_audit_thresholds_ps = {};
   /// Guard margin in ps; negative means "read AGINGSIM_BATCH_GUARD_PS"
   /// (default 0 = audit off).
   double batch_guard_ps = -1.0;
   /// If non-null, receives the batch kernel's counters (words, lanes,
-  /// replayed lanes, ...) after a kBatch trace. Untouched by scalar runs.
+  /// replayed lanes, ...) after the trace.
   BatchStats* batch_stats = nullptr;
 };
 
-/// Runs the gate-level simulator over `patterns` and returns the per-op
-/// trace. Every product is checked against the golden reference multiply;
+/// Runs the 64-lane batch timing kernel (src/sim/batch_sim.hpp) over
+/// `patterns` and returns the per-op trace — bit-identical to stepping the
+/// scalar TimingSim one pattern at a time. Every product is checked against the golden reference multiply;
 /// without a fault overlay a mismatch throws std::logic_error carrying the
 /// pattern index, operands and expected/actual products (the trace
 /// generator doubles as an end-to-end correctness oracle).

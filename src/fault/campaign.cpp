@@ -232,8 +232,7 @@ FaultCampaignStats FaultCampaign::run(std::span<const OperandPattern> patterns,
     obs::TraceSpan span("campaign.baseline");
     const auto baseline_trace =
         compute_op_trace(*mult_, *tech_, patterns,
-                         TraceOptions{.gate_delay_scale = gate_delay_scale,
-                                      .kernel = options.kernel});
+                         TraceOptions{.gate_delay_scale = gate_delay_scale});
     VariableLatencySystem system(*mult_, *tech_, system_);
     auto stats = system.run(baseline_trace, mean_dvth_v);
     campaign_metrics().baselines.add();
@@ -244,8 +243,7 @@ FaultCampaignStats FaultCampaign::run(std::span<const OperandPattern> patterns,
     const auto faulty_trace = compute_op_trace(
         *mult_, *tech_, patterns,
         TraceOptions{.gate_delay_scale = gate_delay_scale,
-                     .faults = &overlays[t],
-                     .kernel = options.kernel});
+                     .faults = &overlays[t]});
     VariableLatencySystem trial_system(*mult_, *tech_, system_);
     auto stats = trial_system.run(faulty_trace, mean_dvth_v);
     campaign_metrics().trials.add();

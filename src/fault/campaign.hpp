@@ -92,11 +92,6 @@ double max_delay_ps(std::span<const OpTrace> trace);
 struct CampaignRunOptions {
   std::span<const double> gate_delay_scale = {};
   double mean_dvth_v = 0.0;
-  /// Step kernel for the gate-level traces (kAuto: AGINGSIM_KERNEL, default
-  /// sparse). Deliberately NOT part of config_digest: kernels are
-  /// bit-identical, so a campaign checkpointed under one kernel resumes
-  /// byte-identically under another.
-  SimKernel kernel = SimKernel::kAuto;
   /// Crash-safe execution layer (retry/backoff, watchdog, quarantine,
   /// checkpoint/resume — docs/ROBUSTNESS.md). Null runs the plain parallel
   /// path. Work units: unit 0 is the fault-free baseline, units 1..trials

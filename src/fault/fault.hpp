@@ -80,9 +80,7 @@ class FaultOverlay {
   bool has_transients() const noexcept { return !transients_.empty(); }
 
   /// True when any transient (on any gate) is armed for exactly `cycle`.
-  /// The sparse timing kernel falls back to a dense sweep on such cycles
-  /// (and the one after, which un-flips the struck gate), so transient
-  /// semantics never depend on worklist reachability.
+  /// The scalar timing kernel checks per-gate strikes only on such cycles.
   bool transient_fires_on(std::int64_t cycle) const noexcept {
     for (const FaultSite& t : transients_) {
       if (t.cycle == cycle) return true;

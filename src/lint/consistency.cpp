@@ -1,10 +1,12 @@
+#include <algorithm>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "src/lint/rule.hpp"
 #include "src/multiplier/multiplier.hpp"
 #include "src/netlist/netlist.hpp"
-#include "src/netlist/techlib.hpp"
+#include "src/sim/value_sweep.hpp"
 #include "src/workload/patterns.hpp"
 #include "src/workload/rng.hpp"
 
@@ -38,11 +40,6 @@ class FunctionalConsistencyRule final : public Rule {
       return;
     }
     const MultiplierNetlist& mult = *ctx.multiplier;
-    // Functional equivalence does not depend on delays, so any library
-    // works; prefer the caller's to avoid surprises.
-    const TechLibrary& tech = (ctx.timing != nullptr && ctx.timing->tech)
-                                  ? *ctx.timing->tech
-                                  : default_tech_library();
     const std::uint64_t max_operand =
         mult.width >= 64 ? ~0ULL : ((1ULL << mult.width) - 1);
 
@@ -58,23 +55,58 @@ class FunctionalConsistencyRule final : public Rule {
     vectors.insert(vectors.end(), random_vectors.begin(),
                    random_vectors.end());
 
-    MultiplierSim sim(mult, tech);
+    // Functional equivalence does not depend on delays: a values-only
+    // sweep settles 64 vectors per word, in order, keepers carried along.
+    const Netlist& nl = mult.netlist;
+    const auto outs = nl.output_nets();
+    if (outs.size() > 64) {
+      throw std::logic_error("TimingSim::output_bits: more than 64 outputs");
+    }
+    ValueSweep sweep(nl);
+    std::vector<std::uint64_t> words(nl.num_inputs());
     constexpr std::size_t kMaxReported = 5;
     std::size_t mismatches = 0;
-    for (const OperandPattern& v : vectors) {
-      sim.apply(v.a, v.b);
-      const std::uint64_t got = sim.product();
-      const std::uint64_t want = reference_multiply(v.a, v.b, mult.width);
-      if (got == want) continue;
-      ++mismatches;
-      if (mismatches <= kMaxReported) {
-        out.push_back(Diagnostic{
-            Severity::kError, std::string(id()),
-            std::string(arch_name(mult.arch)) + std::to_string(mult.width) +
-                " computes " + std::to_string(v.a) + " * " +
-                std::to_string(v.b) + " = " + std::to_string(got) +
-                ", golden reference says " + std::to_string(want),
-            kNoGate, kInvalidNet});
+    for (std::size_t first = 0; first < vectors.size();
+         first += static_cast<std::size_t>(kBatchLanes)) {
+      const int lanes = static_cast<int>(std::min<std::size_t>(
+          static_cast<std::size_t>(kBatchLanes), vectors.size() - first));
+      std::fill(words.begin(), words.end(), 0);
+      for (int l = 0; l < lanes; ++l) {
+        const OperandPattern& v = vectors[first + static_cast<std::size_t>(l)];
+        for (int i = 0; i < mult.width; ++i) {
+          words[static_cast<std::size_t>(mult.a_first_input + i)] |=
+              ((v.a >> i) & 1u) << l;
+          words[static_cast<std::size_t>(mult.b_first_input + i)] |=
+              ((v.b >> i) & 1u) << l;
+        }
+      }
+      sweep.step_word(words, lanes);
+      for (int l = 0; l < lanes; ++l) {
+        const OperandPattern& v = vectors[first + static_cast<std::size_t>(l)];
+        std::uint64_t got = 0;
+        for (std::size_t i = 0; i < outs.size(); ++i) {
+          const LogicWord w = sweep.word(outs[i]);
+          if (((w.p1 >> l) & 1u) != 0) {
+            // TimingSim::output_bits' wording: the report does not
+            // depend on which simulator settles the vectors.
+            throw std::logic_error("TimingSim::output_bits: output " +
+                                   nl.output_name(i) + " is unknown");
+          }
+          got |= ((w.p0 >> l) & 1u) << i;
+        }
+        const std::uint64_t want = reference_multiply(v.a, v.b, mult.width);
+        if (got == want) continue;
+        ++mismatches;
+        if (mismatches <= kMaxReported) {
+          out.push_back(Diagnostic{
+              Severity::kError, std::string(id()),
+              std::string(arch_name(mult.arch)) +
+                  std::to_string(mult.width) + " computes " +
+                  std::to_string(v.a) + " * " + std::to_string(v.b) + " = " +
+                  std::to_string(got) + ", golden reference says " +
+                  std::to_string(want),
+              kNoGate, kInvalidNet});
+        }
       }
     }
     if (mismatches > kMaxReported) {

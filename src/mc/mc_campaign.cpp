@@ -112,9 +112,9 @@ double McCampaign::fresh_critical_path_ps(std::size_t i) const {
   return arch_contexts_.at(i).fresh_crit_ps;
 }
 
-std::vector<McTrialRecord> McCampaign::compute_trial(
+std::vector<std::vector<double>> McCampaign::trial_scales(
     std::size_t arch_index, std::uint64_t trial) const {
-  const ArchContext& arch = arch_contexts_[arch_index];
+  const ArchContext& arch = arch_contexts_.at(arch_index);
   Rng rng(trial_seed(config_.seed, arch_index, trial));
   // Stratified die-level normal: trial t samples stratum t mod strata of
   // the standard normal through the inverse CDF, so `strata` trials cover
@@ -133,7 +133,7 @@ std::vector<McTrialRecord> McCampaign::compute_trial(
   const std::vector<double> variation = correlated_variation_scales(
       arch.mult.netlist, config_.variation, variation_seed, die_z);
 
-  std::vector<McTrialRecord> out;
+  std::vector<std::vector<double>> out;
   out.reserve(config_.years.size());
   for (std::size_t y = 0; y < config_.years.size(); ++y) {
     // One aging_seed across years: the jitter is the die's device-level
@@ -141,10 +141,18 @@ std::vector<McTrialRecord> McCampaign::compute_trial(
     std::vector<double> scales = stochastic_aging_scales(
         arch.year_scales[y], config_.sigma_aging, aging_seed);
     accumulate_scales(scales, variation);
-    const auto trace =
-        compute_op_trace(arch.mult, *tech_, patterns_,
-                         TraceOptions{.gate_delay_scale = scales,
-                                      .kernel = config_.kernel});
+    out.push_back(std::move(scales));
+  }
+  return out;
+}
+
+std::vector<McTrialRecord> McCampaign::compute_trial(
+    std::size_t arch_index, std::uint64_t trial) const {
+  const ArchContext& arch = arch_contexts_[arch_index];
+  std::vector<McTrialRecord> out;
+  out.reserve(config_.years.size());
+  for (const std::vector<double>& scales : trial_scales(arch_index, trial)) {
+    const auto trace = compute_op_trace(arch.mult, *tech_, patterns_, scales);
     McTrialRecord rec;
     std::uint64_t violations = 0;
     for (const OpTrace& op : trace) {
@@ -202,8 +210,8 @@ std::uint64_t McCampaign::config_digest() const {
   }
   d.mix(static_cast<std::uint64_t>(config_.years.size()));
   for (const double year : config_.years) d.mix(year);
-  // Deliberately NOT mixed: kernel (bit-identical kernels, cross-kernel
-  // resume is part of the contract) and thread/runner settings.
+  // Deliberately NOT mixed: thread/runner settings (results do not depend
+  // on them, so a campaign resumes byte-identically under any).
   return d.value();
 }
 

@@ -10,7 +10,7 @@
 //                  x stochastic_aging_scales(BTI scales at year Y)
 //
 // and scores it by replaying the canonical workload through the gate-level
-// simulator (batch word kernel by default), yielding per-trial metrics —
+// simulator (the batch word kernel), yielding per-trial metrics —
 // the settled worst-case delay and the rate of ops violating the
 // evaluation period — per evaluation year. Aggregation turns the trial
 // population into p50/p99/p99.99 quantile bands and a "failure probability
@@ -66,11 +66,6 @@ struct McCampaignConfig {
   /// delay distribution actually straddles it, so the error-rate bands
   /// separate fast-aging dies from the median instead of reading all-zero.
   double period_frac = 0.58;
-  /// Step kernel for the trial traces. All kernels are bit-identical, so
-  /// this is excluded from the config digest (a campaign checkpointed
-  /// under one kernel resumes byte-identically under another); kBatch is
-  /// the intended fast path.
-  SimKernel kernel = SimKernel::kBatch;
 };
 
 /// Metrics of one (trial, year) cell. Everything downstream — bands,
@@ -136,6 +131,12 @@ class McCampaign {
   std::vector<McTrialRecord> compute_block(std::size_t arch_index,
                                            std::size_t block) const;
 
+  /// Per-gate delay multipliers of die `trial` of `arch_index`, one vector
+  /// per evaluation year: variation x stochastic aging, the overlay its
+  /// trace runs under (exposed for oracle tests).
+  std::vector<std::vector<double>> trial_scales(std::size_t arch_index,
+                                                std::uint64_t trial) const;
+
   /// Fingerprint of everything that determines the work-unit payloads —
   /// the digest a CheckpointStore must be keyed by.
   std::uint64_t config_digest() const;
@@ -147,6 +148,10 @@ class McCampaign {
   const McCampaignConfig& config() const noexcept { return config_; }
   /// Fresh nominal critical path of arch `i` (config order).
   double fresh_critical_path_ps(std::size_t i) const;
+  /// The canonical workload every trial replays.
+  const std::vector<OperandPattern>& patterns() const noexcept {
+    return patterns_;
+  }
 
  private:
   struct ArchContext;

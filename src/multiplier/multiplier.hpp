@@ -85,9 +85,9 @@ class MultiplierSim {
     sim_.set_aging(gate_delay_scale);
   }
 
-  /// Selects the step kernel (sparse event-driven vs dense sweep); see
-  /// TimingSim::Mode. Results are bit-identical either way.
-  void set_mode(TimingSim::Mode mode) noexcept { sim_.set_mode(mode); }
+  /// No-op: the dense sweep is TimingSim's only mode. Kept because the
+  /// benchmark harness selects it explicitly.
+  void set_mode(TimingSim::Mode) noexcept {}
 
   /// Installs (nullptr: removes) a fault overlay on the underlying
   /// simulator; see TimingSim::set_fault_overlay.

@@ -20,7 +20,7 @@
 // snapshot, which is how tests/parallel_determinism_test.cpp asserts
 // 1-thread vs 8-thread snapshot equality.
 //
-// Naming convention: lowercase `subsystem.metric` (sim.gates_evaluated,
+// Naming convention: lowercase `subsystem.metric` (sim.steps_dense,
 // runner.retries, checkpoint.discarded_crc). Handles come from
 // `obs::counter()/gauge()/histogram()` and are stable for the process
 // lifetime; idiomatic use is one function-local static per site.

@@ -38,6 +38,68 @@ const BatchMetrics& batch_metrics() {
   return m;
 }
 
+/// A stack of free lane slots plus the high-water mark.
+struct SlotPool {
+  std::vector<std::uint32_t> free;
+  std::uint32_t count = 0;
+
+  std::uint32_t acquire() {
+    if (free.empty()) return count++;
+    const std::uint32_t slot = free.back();
+    free.pop_back();
+    return slot;
+  }
+};
+
+/// Assigns every net a density slot and, unless its arrival is a constant,
+/// an arrival slot, such that nets whose live ranges overlap never share
+/// one. A live range runs from the driver's evaluation (primary inputs:
+/// before the first gate) to the last reader; primary outputs stay live to
+/// the end of the sweep, where their arrivals feed output_settle_ps. A
+/// gate's output is assigned before its inputs are released, so no gate
+/// reads and writes one slot. Returns the two pool sizes.
+std::pair<std::uint32_t, std::uint32_t> assign_lane_slots(
+    const Netlist& nl, std::vector<std::uint32_t>& density_slot,
+    std::vector<std::uint32_t>& arrival_slot) {
+  constexpr std::int64_t kUnread = -1;
+  const auto num_gates = static_cast<std::int64_t>(nl.num_gates());
+  std::vector<std::int64_t> last_read(nl.num_nets(), kUnread);
+  for (GateId g = 0; g < nl.num_gates(); ++g) {
+    for (const NetId n : nl.gate_inputs(g)) last_read[n] = g;
+  }
+  for (const NetId n : nl.output_nets()) last_read[n] = num_gates;
+
+  density_slot.assign(nl.num_nets(), 0);
+  arrival_slot.assign(nl.num_nets(), detail::kNoArrivalSlot);
+  SlotPool dens, arr;
+  std::vector<char> released(nl.num_nets(), 0);
+  const auto release = [&](NetId n) {
+    if (released[n] != 0) return;  // a gate may read one net twice
+    released[n] = 1;
+    dens.free.push_back(density_slot[n]);
+    if (arrival_slot[n] != detail::kNoArrivalSlot) {
+      arr.free.push_back(arrival_slot[n]);
+    }
+  };
+  for (const NetId n : nl.input_nets()) {
+    density_slot[n] = dens.acquire();
+    if (last_read[n] == kUnread) release(n);
+  }
+  for (GateId g = 0; g < nl.num_gates(); ++g) {
+    const NetId out = nl.gate(g).out;
+    const auto ins = nl.gate_inputs(g);
+    density_slot[out] = dens.acquire();
+    const bool reads_only_inputs = std::all_of(
+        ins.begin(), ins.end(), [&](NetId n) { return nl.driver_of(n) < 0; });
+    if (!reads_only_inputs) arrival_slot[out] = arr.acquire();
+    for (const NetId n : ins) {
+      if (last_read[n] == static_cast<std::int64_t>(g)) release(n);
+    }
+    if (last_read[out] == kUnread) release(out);
+  }
+  return {dens.count, arr.count};
+}
+
 bool use_avx2_sweep() {
   static const bool enabled = [] {
     if (!detail::avx2_sweep_available()) return false;
@@ -54,27 +116,19 @@ bool use_avx2_sweep() {
 
 BatchTimingSim::BatchTimingSim(const Netlist& netlist, const TechLibrary& tech,
                                std::span<const double> gate_delay_scale)
-    : netlist_(&netlist),
-      tech_(&tech),
-      replay_sim_(netlist, tech, gate_delay_scale) {
-  base_delay_ps_.resize(netlist.num_gates());
-  cell_cap_ff_.resize(netlist.num_gates());
+    : netlist_(&netlist), tech_(&tech) {
   set_aging(gate_delay_scale);
-  for (GateId g = 0; g < netlist.num_gates(); ++g) {
-    cell_cap_ff_[g] = tech.cap(netlist.gate(g).kind);
-  }
   const std::size_t nets = netlist.num_nets();
   plane0_.assign(nets, 0);
   plane1_.assign(nets, 0);
-  changed_.assign(nets, 0);
-  active_.assign(nets, 0);
   word_epoch_.assign(nets, 0);
   last_value_.assign(nets, Logic::kX);  // power-up: nothing driven yet
-  word_start_value_.assign(nets, Logic::kX);
-  density_.assign(nets * kBatchLanes, 0.0f);
-  arrival_.assign(nets * kBatchLanes, 0.0);
-  replay_state_.assign(nets, Logic::kX);
-  replay_inputs_.assign(netlist.num_inputs(), Logic::kX);
+  const auto [density_slots, arrival_slots] =
+      assign_lane_slots(netlist, density_slot_, arrival_slot_);
+  changed_.assign(density_slots, 0);
+  active_.assign(density_slots, 0);
+  density_.assign(std::size_t(density_slots) * kBatchLanes, 0.0f);
+  arrival_.assign(std::size_t(arrival_slots) * kBatchLanes, 0.0);
 }
 
 void BatchTimingSim::set_aging(std::span<const double> gate_delay_scale) {
@@ -84,9 +138,8 @@ void BatchTimingSim::set_aging(std::span<const double> gate_delay_scale) {
         "BatchTimingSim::set_aging: need one multiplier per gate");
   }
   aging_scale_.assign(gate_delay_scale.begin(), gate_delay_scale.end());
-  rebuild_delays();
   force_all_ = true;
-  replay_sim_.set_aging(gate_delay_scale);
+  if (audit_armed()) replay_sim_->set_aging(gate_delay_scale);
 }
 
 void BatchTimingSim::set_fault_overlay(const FaultOverlay* overlay) {
@@ -96,26 +149,40 @@ void BatchTimingSim::set_fault_overlay(const FaultOverlay* overlay) {
         "netlist");
   }
   overlay_ = overlay;
-  rebuild_delays();
   // Installing or removing stuck-ats changes gate outputs without any fanin
-  // edge; the next word sweeps every gate (the scalar force-dense analogue).
+  // edge; the next word sweeps every gate.
   force_all_ = true;
-  replay_sim_.set_fault_overlay(overlay);
-}
-
-void BatchTimingSim::rebuild_delays() {
-  for (GateId g = 0; g < netlist_->num_gates(); ++g) {
-    double d = tech_->delay(netlist_->gate(g).kind);
-    if (!aging_scale_.empty()) d *= aging_scale_[g];
-    if (overlay_ != nullptr) d *= overlay_->delay_factor(g);
-    base_delay_ps_[g] = d;
-  }
+  if (audit_armed()) replay_sim_->set_fault_overlay(overlay);
 }
 
 void BatchTimingSim::set_timing_audit(std::span<const double> thresholds_ps,
                                       double guard_ps) {
+  if (guard_ps <= 0.0 || thresholds_ps.empty()) {
+    audit_thresholds_ps_.clear();
+    guard_ps_ = 0.0;
+    replay_sim_.reset();
+    word_start_value_ = {};
+    replay_state_ = {};
+    replay_inputs_ = {};
+    return;
+  }
   audit_thresholds_ps_.assign(thresholds_ps.begin(), thresholds_ps.end());
   guard_ps_ = guard_ps;
+  if (audit_armed()) return;
+  replay_sim_ = std::make_unique<TimingSim>(*netlist_, *tech_, aging_scale_);
+  replay_sim_->set_fault_overlay(overlay_);
+  replay_state_.assign(netlist_->num_nets(), Logic::kX);
+  replay_inputs_.assign(netlist_->num_inputs(), Logic::kX);
+}
+
+std::size_t BatchTimingSim::state_bytes() const noexcept {
+  const auto bytes = [](const auto& v) {
+    return v.capacity() * sizeof(v[0]);
+  };
+  return bytes(aging_scale_) + bytes(plane0_) + bytes(plane1_) +
+         bytes(word_epoch_) + bytes(last_value_) + bytes(density_slot_) +
+         bytes(arrival_slot_) + bytes(changed_) + bytes(active_) +
+         bytes(density_) + bytes(arrival_);
 }
 
 std::span<const StepResult> BatchTimingSim::step_word(
@@ -129,11 +196,8 @@ std::span<const StepResult> BatchTimingSim::step_word(
         "BatchTimingSim::step_word: lanes must be in [1, 64]");
   }
   ++epoch_;
-  word_start_value_ = last_value_;
-  for (int l = 0; l < lanes; ++l) {
-    results_[l] = StepResult{};
-    results_[l].gates_total = nl.num_gates();
-  }
+  if (audit_armed()) word_start_value_ = last_value_;
+  for (int l = 0; l < lanes; ++l) results_[l] = StepResult{};
 
   // Pre-scan transient strikes: lanes of this word they land in, plus the
   // cleanup spill — a strike on the last lane of the previous word must be
@@ -167,16 +231,18 @@ std::span<const StepResult> BatchTimingSim::step_word(
 
   detail::SweepContext ctx;
   ctx.netlist = netlist_;
+  ctx.tech = tech_;
+  ctx.aging = aging_scale_.empty() ? nullptr : aging_scale_.data();
   ctx.overlay = overlay_;
-  ctx.base_delay_ps = base_delay_ps_.data();
-  ctx.cell_cap_ff = cell_cap_ff_.data();
   ctx.epoch = epoch_;
   ctx.plane0 = plane0_.data();
   ctx.plane1 = plane1_.data();
-  ctx.changed = changed_.data();
-  ctx.active = active_.data();
   ctx.word_epoch = word_epoch_.data();
   ctx.last_value = last_value_.data();
+  ctx.density_slot = density_slot_.data();
+  ctx.arrival_slot = arrival_slot_.data();
+  ctx.changed = changed_.data();
+  ctx.active = active_.data();
   ctx.density = density_.data();
   ctx.arrival = arrival_.data();
   ctx.results = results_.data();
@@ -197,15 +263,27 @@ std::span<const StepResult> BatchTimingSim::step_word(
   force_all_ = false;
   last_lanes_ = lanes;
 
-  // Output settle: max changed-output arrival per lane.
+  // Output settle: max changed-output arrival per lane. Outputs stay live
+  // to the end of the sweep, so their slots still hold this word's lanes;
+  // a slotless output arrives at 0.0 (primary input) or at its driver's
+  // delay (driver reads only primary inputs) in every lane.
   for (NetId out : nl.output_nets()) {
     if (word_epoch_[out] != epoch_) continue;
-    const std::uint64_t ch = changed_[out];
+    const std::uint64_t ch = changed_[density_slot_[out]];
     if (ch == 0) continue;
-    const double* arr = arrival_.data() + std::size_t(out) * kBatchLanes;
+    const std::uint32_t aslot = arrival_slot_[out];
+    const std::int32_t driver = nl.driver_of(out);
+    const double constant =
+        aslot != detail::kNoArrivalSlot || driver < 0
+            ? 0.0
+            : 0.0 + detail::gate_delay_ps(ctx, static_cast<GateId>(driver));
+    const double* arr = aslot == detail::kNoArrivalSlot
+                            ? nullptr
+                            : arrival_.data() + std::size_t(aslot) * kBatchLanes;
     for (int l = 0; l < lanes; ++l) {
-      if (((ch >> l) & 1u) != 0 && arr[l] > results_[l].output_settle_ps) {
-        results_[l].output_settle_ps = arr[l];
+      const double a = arr != nullptr ? arr[l] : constant;
+      if (((ch >> l) & 1u) != 0 && a > results_[l].output_settle_ps) {
+        results_[l].output_settle_ps = a;
       }
     }
   }
@@ -289,7 +367,7 @@ void BatchTimingSim::load_bus_lane(std::span<std::uint64_t> input_bits,
 
 void BatchTimingSim::replay_audit(std::span<const std::uint64_t> input_bits,
                                   int lanes) {
-  if (guard_ps_ <= 0.0 || audit_thresholds_ps_.empty()) return;
+  if (!audit_armed()) return;
   const auto input_nets = netlist_->input_nets();
   for (int l = 0; l < lanes; ++l) {
     const double settle = results_[l].output_settle_ps;
@@ -306,12 +384,12 @@ void BatchTimingSim::replay_audit(std::span<const std::uint64_t> input_bits,
     // Rebuild the scalar state as of lane l-1, re-run lane l through the
     // real scalar kernel, and adopt (after checking) its result.
     state_at_lane(l - 1, replay_state_);
-    replay_sim_.install_state(replay_state_, step_base_ + l);
+    replay_sim_->install_state(replay_state_, step_base_ + l);
     for (std::size_t i = 0; i < input_nets.size(); ++i) {
       replay_inputs_[i] =
           logic_from_bool(((input_bits[i] >> l) & 1u) != 0);
     }
-    const StepResult r = replay_sim_.step(replay_inputs_);
+    const StepResult r = replay_sim_->step(replay_inputs_);
     ++stats_.replayed_lanes;
     if (obs::metrics_enabled()) batch_metrics().replays.add();
 
@@ -321,7 +399,7 @@ void BatchTimingSim::replay_audit(std::span<const std::uint64_t> input_bits,
                     r.switched_cap_ff != results_[l].switched_cap_ff;
     if (!mismatch) {
       for (NetId n = 0; n < netlist_->num_nets(); ++n) {
-        if (replay_sim_.value(n) != lane_value(n, l)) {
+        if (replay_sim_->value(n) != lane_value(n, l)) {
           mismatch = true;
           break;
         }

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <stdexcept>
 
-#include "src/core/env.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/sim/density_model.hpp"
 
@@ -20,16 +18,9 @@ using density_model::kInputCapFf;
 using density_model::kStableBlock;
 
 // Everything here accumulates per *step*, never per gate — the per-gate
-// loops stay metric-free so an enabled run stays close to a disabled one.
+// loop stays metric-free so an enabled run stays close to a disabled one.
 struct SimMetrics {
   const obs::Counter& steps_dense = obs::counter("sim.steps_dense");
-  const obs::Counter& steps_sparse = obs::counter("sim.steps_sparse");
-  const obs::Counter& gates_evaluated = obs::counter("sim.gates_evaluated");
-  // Why a sparse-mode sim fell back to a dense sweep this step:
-  const obs::Counter& fallback_swap =
-      obs::counter("sim.dense_fallback_swap");  // set_aging/set_fault_overlay
-  const obs::Counter& fallback_transient =
-      obs::counter("sim.dense_fallback_transient");  // strike or cleanup
   const obs::Counter& aging_swaps = obs::counter("sim.aging_swaps");
   const obs::Counter& overlay_swaps = obs::counter("sim.overlay_swaps");
 };
@@ -41,41 +32,22 @@ const SimMetrics& sim_metrics() {
 
 }  // namespace
 
-SimKernel resolve_kernel(SimKernel requested) {
-  if (requested != SimKernel::kAuto) return requested;
-  static constexpr const char* kChoices[] = {"dense", "sparse", "batch"};
-  static constexpr SimKernel kKernels[] = {SimKernel::kDense,
-                                           SimKernel::kSparse,
-                                           SimKernel::kBatch};
-  const auto idx = env::choice_var("AGINGSIM_KERNEL", kChoices);
-  return idx.has_value() ? kKernels[*idx] : SimKernel::kSparse;
-}
+SimKernel resolve_kernel(SimKernel) noexcept { return SimKernel::kBatch; }
 
 const char* kernel_name(SimKernel kernel) noexcept {
-  switch (kernel) {
-    case SimKernel::kAuto: return "auto";
-    case SimKernel::kDense: return "dense";
-    case SimKernel::kSparse: return "sparse";
-    case SimKernel::kBatch: return "batch";
-  }
-  return "?";
+  return kernel == SimKernel::kBatch ? "batch" : "auto";
 }
 
 TimingSim::TimingSim(const Netlist& netlist, const TechLibrary& tech,
                      std::span<const double> gate_delay_scale)
     : netlist_(&netlist), tech_(&tech) {
   base_delay_ps_.resize(netlist.num_gates());
-  cell_cap_ff_.resize(netlist.num_gates());
   set_aging(gate_delay_scale);
-  for (GateId g = 0; g < netlist.num_gates(); ++g) {
-    cell_cap_ff_[g] = tech.cap(netlist.gate(g).kind);
-  }
   value_.assign(netlist.num_nets(), Logic::kX);
   arrival_.assign(netlist.num_nets(), 0.0);
   changed_.assign(netlist.num_nets(), 0);
   density_.assign(netlist.num_nets(), 0.0f);
   net_epoch_.assign(netlist.num_nets(), 0);
-  queued_words_.assign((netlist.num_gates() + 63) / 64, 0);
 }
 
 void TimingSim::set_aging(std::span<const double> gate_delay_scale) {
@@ -86,7 +58,6 @@ void TimingSim::set_aging(std::span<const double> gate_delay_scale) {
   }
   aging_scale_.assign(gate_delay_scale.begin(), gate_delay_scale.end());
   rebuild_delays();
-  force_dense_ = true;
   sim_metrics().aging_swaps.add();
 }
 
@@ -98,9 +69,6 @@ void TimingSim::set_fault_overlay(const FaultOverlay* overlay) {
   }
   overlay_ = overlay;
   rebuild_delays();
-  // Installing or removing stuck-ats changes gate outputs without any fanin
-  // edge; only a full sweep re-establishes (or releases) them everywhere.
-  force_dense_ = true;
   sim_metrics().overlay_swaps.add();
 }
 
@@ -126,7 +94,7 @@ void TimingSim::load_bus(std::span<Logic> pattern_buffer, std::uint64_t value,
 }
 
 template <bool kOverlay, bool kTransient>
-bool TimingSim::evaluate_gate(GateId g, StepResult& result) {
+void TimingSim::evaluate_gate(GateId g, StepResult& result) {
   const Netlist& nl = *netlist_;
   const Gate& gate = nl.gate(g);
   const auto ins = nl.gate_inputs(g);
@@ -155,7 +123,8 @@ bool TimingSim::evaluate_gate(GateId g, StepResult& result) {
   // Glitch/activity estimate for this gate, independent of whether the
   // *final* value changed. Every formula is linear in the input densities,
   // so a gate whose fanin is entirely stable computes exactly 0 — which is
-  // what lets the sparse kernel skip it without changing any result.
+  // what lets the batch kernel skip word-idle gates without changing any
+  // result.
   float density = 0.0f;
   switch (gate.kind) {
     case CellKind::kBuf:
@@ -219,15 +188,14 @@ bool TimingSim::evaluate_gate(GateId g, StepResult& result) {
       break;
   }
 
-  ++result.gates_evaluated;
   if (next == prev) {
     const float clamped = std::min(density, kDensityClamp);
-    if (clamped == 0.0f) return false;  // stable and glitch-free: inert
+    if (clamped == 0.0f) return;  // stable and glitch-free: inert
     net_epoch_[gate.out] = epoch_;
     changed_[gate.out] = 0;
     density_[gate.out] = clamped;
-    result.switched_cap_ff += 0.5 * cell_cap_ff_[g] * clamped;
-    return true;
+    result.switched_cap_ff += 0.5 * tech_->cap(gate.kind) * clamped;
+    return;
   }
   value_[gate.out] = next;
   net_epoch_[gate.out] = epoch_;
@@ -237,7 +205,7 @@ bool TimingSim::evaluate_gate(GateId g, StepResult& result) {
     if (density < 1.0f) density = 1.0f;  // the real toggle is an edge too
   }
   density_[gate.out] = std::min(density, kDensityClamp);
-  result.switched_cap_ff += 0.5 * cell_cap_ff_[g] * density_[gate.out];
+  result.switched_cap_ff += 0.5 * tech_->cap(gate.kind) * density_[gate.out];
 
   // Sensitized arrival: earliest controlling input when the new value is
   // the controlled one, otherwise latest changed input. Stable inputs
@@ -296,43 +264,13 @@ bool TimingSim::evaluate_gate(GateId g, StepResult& result) {
   }
   arrival_[gate.out] = arr + base_delay_ps_[g];
   result.settle_ps = std::max(result.settle_ps, arrival_[gate.out]);
-  return true;
 }
 
 template <bool kOverlay, bool kTransient>
-void TimingSim::run_dense(StepResult& result) {
+void TimingSim::sweep(StepResult& result) {
   const GateId n = static_cast<GateId>(netlist_->num_gates());
   for (GateId g = 0; g < n; ++g) {
     evaluate_gate<kOverlay, kTransient>(g, result);
-  }
-}
-
-template <bool kOverlay>
-void TimingSim::run_sparse(StepResult& result) {
-  const Netlist& nl = *netlist_;
-  const Netlist::FanoutView fan = nl.fanout_view();
-  // Pop queued gates lowest-id-first via the worklist bitmap, re-reading
-  // each word after every pop: a consumer enqueued while draining always
-  // has a larger id than the gate being processed (consumers are created
-  // after their drivers), so it lands at the cursor or ahead of it. That
-  // ascending-id schedule is both topologically valid and exactly the dense
-  // kernel's floating-point accumulation order for switched_cap_ff — hence
-  // bit-identical results. Bits are cleared as they are popped, leaving the
-  // bitmap all-zero for the next step.
-  for (std::size_t w = queued_min_word_;
-       w <= queued_max_word_ && w < queued_words_.size(); ++w) {
-    while (queued_words_[w] != 0) {
-      const std::uint64_t bits = queued_words_[w];
-      queued_words_[w] = bits & (bits - 1);  // clear lowest set bit
-      const GateId g =
-          static_cast<GateId>((w << 6) | std::countr_zero(bits));
-      if (evaluate_gate<kOverlay, false>(g, result)) {
-        const NetId out = nl.gate(g).out;
-        for (std::uint32_t k = fan.begin[out]; k < fan.begin[out + 1]; ++k) {
-          enqueue(fan.consumers[k]);
-        }
-      }
-    }
   }
 }
 
@@ -342,28 +280,11 @@ StepResult TimingSim::step(std::span<const Logic> input_values) {
     throw std::invalid_argument("TimingSim::step: wrong input count");
   }
   StepResult result;
-  result.gates_total = nl.num_gates();
   ++epoch_;
-  queued_min_word_ = queued_words_.size();
-  queued_max_word_ = 0;
-
-  // A transient strike forces a value with no fanin edge, and the next step
-  // must un-flip it the same way — both run dense.
-  const bool transient_now = overlay_ != nullptr &&
-                             overlay_->has_transients() &&
-                             overlay_->transient_fires_on(step_index_);
-  const bool transient_cleanup = overlay_ != nullptr &&
-                                 overlay_->has_transients() &&
-                                 overlay_->transient_fires_on(step_index_ - 1);
-  const bool forced_swap = force_dense_;  // cleared by the dense sweep below
-  const bool dense = mode_ == Mode::kDense || force_dense_ || transient_now ||
-                     transient_cleanup;
 
   // Apply primary inputs (all input transitions land at t = 0). A changed
   // input seeds one transition of density; unchanged inputs are simply not
   // stamped with this epoch, which downstream reads as stable/zero.
-  const Netlist::FanoutView fan =
-      dense ? Netlist::FanoutView{} : nl.fanout_view();
   const auto input_nets = nl.input_nets();
   for (std::size_t i = 0; i < input_nets.size(); ++i) {
     const NetId net = input_nets[i];
@@ -375,28 +296,15 @@ StepResult TimingSim::step(std::span<const Logic> input_values) {
     changed_[net] = 1;
     density_[net] = 1.0f;
     if (is_known(nv)) result.switched_cap_ff += kInputCapFf;
-    if (!dense) {
-      for (std::uint32_t k = fan.begin[net]; k < fan.begin[net + 1]; ++k) {
-        enqueue(fan.consumers[k]);
-      }
-    }
   }
 
-  if (dense) {
-    if (overlay_ != nullptr) {
-      if (transient_now) {
-        run_dense<true, true>(result);
-      } else {
-        run_dense<true, false>(result);
-      }
-    } else {
-      run_dense<false, false>(result);
-    }
-    force_dense_ = false;
-  } else if (overlay_ != nullptr) {
-    run_sparse<true>(result);
+  if (overlay_ == nullptr) {
+    sweep<false, false>(result);
+  } else if (overlay_->has_transients() &&
+             overlay_->transient_fires_on(step_index_)) {
+    sweep<true, true>(result);
   } else {
-    run_sparse<false>(result);
+    sweep<true, false>(result);
   }
 
   for (NetId out : nl.output_nets()) {
@@ -406,16 +314,7 @@ StepResult TimingSim::step(std::span<const Logic> input_values) {
     }
   }
   ++step_index_;
-  if (obs::metrics_enabled()) {
-    const SimMetrics& m = sim_metrics();
-    (dense ? m.steps_dense : m.steps_sparse).add();
-    m.gates_evaluated.add(result.gates_evaluated);
-    if (mode_ != Mode::kDense && dense) {
-      // Attribute the fallback: a pending delay-table swap wins over a
-      // transient window when both apply this step.
-      (forced_swap ? m.fallback_swap : m.fallback_transient).add();
-    }
-  }
+  if (obs::metrics_enabled()) sim_metrics().steps_dense.add();
   return result;
 }
 
@@ -427,11 +326,6 @@ void TimingSim::install_state(std::span<const Logic> net_values,
   }
   value_.assign(net_values.begin(), net_values.end());
   step_index_ = next_step_index;
-  // One dense sweep next: the installed state may be the all-X power-up
-  // snapshot, whose fanin-free Tie cells only a dense sweep evaluates. For
-  // settled mid-stream snapshots the dense and sparse kernels are
-  // bit-identical anyway, so this costs one sweep and changes no result.
-  force_dense_ = true;
 }
 
 std::uint64_t TimingSim::output_bits() const {

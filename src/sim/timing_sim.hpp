@@ -11,17 +11,12 @@
 
 namespace agingsim {
 
-/// Step-kernel families the trace/campaign/serving layers can drive. The
-/// scalar kernels live in TimingSim (Mode::kDense / Mode::kSparse); kBatch
-/// selects the 64-lane SWAR kernel in src/sim/batch_sim.hpp. All three are
-/// bit-identical on every guaranteed StepResult/OpTrace field; they differ
-/// only in throughput and in the gates_evaluated diagnostic.
-enum class SimKernel : std::uint8_t { kAuto = 0, kDense, kSparse, kBatch };
+/// Kept for the benchmark harness, which reports the kernel its defaults
+/// resolve to: every trace runs the batch kernel (src/sim/batch_sim.hpp),
+/// so kAuto resolves to kBatch.
+enum class SimKernel : std::uint8_t { kAuto = 0, kBatch };
 
-/// Resolves kAuto against AGINGSIM_KERNEL (dense|sparse|batch; an
-/// unrecognized value warns once and falls back to sparse, the scalar
-/// default). Non-auto values pass through untouched.
-SimKernel resolve_kernel(SimKernel requested);
+SimKernel resolve_kernel(SimKernel requested) noexcept;
 
 const char* kernel_name(SimKernel kernel) noexcept;
 
@@ -44,24 +39,17 @@ struct StepResult {
   /// plain AM) expensive and frozen bypassed columns free, reproducing the
   /// paper's power ordering (AM > VL-bypassing > FL-bypassing).
   double switched_cap_ff = 0.0;
-  /// Gates the kernel actually evaluated this step. The dense kernel always
-  /// evaluates every gate; the sparse kernel only the changed/glitching
-  /// cone, so gates_evaluated / gates_total is the per-step activity factor
-  /// benches report. Diagnostics only: these two fields are kernel-dependent
-  /// and excluded from the dense/sparse equivalence guarantee.
-  std::uint64_t gates_evaluated = 0;
-  /// Total gates in the netlist (the denominator for gates_evaluated).
-  std::uint64_t gates_total = 0;
 };
 
-/// Per-pattern functional + timing simulator.
+/// Per-pattern functional + timing simulator: the single-step API and the
+/// scalar oracle the 64-lane batch kernel (src/sim/batch_sim.hpp) is
+/// differentially tested against.
 ///
 /// This is the substitute for the paper's Nanosim transistor-level timing
 /// runs. Each `step()` applies a new input pattern (a transition from the
-/// previously applied one) and settles the netlist in one topological pass —
-/// event-driven over the changed cone by default (Mode::kSparse), or over
-/// every gate (Mode::kDense) — computing, for every evaluated gate, the new
-/// output value and its *sensitized* arrival time:
+/// previously applied one) and settles the netlist in one topological sweep
+/// over every gate, computing the new output value and the *sensitized*
+/// arrival time of each:
 ///
 ///  - a net whose value does not change is stable and contributes neither
 ///    delay nor switching energy (transition pruning, zero-delay/glitch-free
@@ -75,29 +63,14 @@ struct StepResult {
 ///    a bypassed full adder neither toggles nor delays anything.
 class TimingSim {
  public:
-  /// Step-kernel selection. Both kernels produce bit-identical results
-  /// (StepResult timing/energy fields, net values, arrivals, densities);
-  /// they differ only in cost and in the gates_evaluated diagnostic.
-  ///
-  ///  - kSparse (default): event-driven. A step seeds a worklist with the
-  ///    consumers of changed primary inputs and propagates only through the
-  ///    cone whose values or transition densities actually move, processing
-  ///    gates in ascending gate-id order (a topological order that also
-  ///    matches the dense kernel's floating-point accumulation order — this
-  ///    is what makes the two kernels bit-identical, not just equivalent).
-  ///    Power-up, transient-fault windows and overlay/aging swaps fall back
-  ///    to one dense sweep; see docs/PERF.md.
-  ///  - kDense: the original full topological sweep over every gate. Kept
-  ///    for differential testing and as the fallback path.
-  enum class Mode { kSparse, kDense };
+  /// The only step kernel: a full topological sweep. Kept as a named mode
+  /// because the benchmark harness selects it explicitly.
+  enum class Mode { kDense };
 
   /// `gate_delay_scale`, if non-empty, is a per-gate delay multiplier (aging
   /// overlay); it is copied and can be replaced later with `set_aging()`.
   TimingSim(const Netlist& netlist, const TechLibrary& tech,
             std::span<const double> gate_delay_scale = {});
-
-  void set_mode(Mode mode) noexcept { mode_ = mode; }
-  Mode mode() const noexcept { return mode_; }
 
   /// Replaces the per-gate aging multipliers (empty = fresh circuit).
   void set_aging(std::span<const double> gate_delay_scale);
@@ -153,26 +126,14 @@ class TimingSim {
  private:
   void rebuild_delays();
 
-  /// Evaluates one gate: value, glitch density, arrival, energy. Returns
-  /// true when the gate's output is "active" this step (value changed or
-  /// nonzero density) and its consumers therefore need evaluating. The
-  /// overlay/transient checks are template parameters so the per-step
-  /// drivers branch once, not once per gate.
+  /// Evaluates one gate: value, glitch density, arrival, energy. The
+  /// overlay/transient checks are template parameters so step() branches
+  /// once, not once per gate.
   template <bool kOverlay, bool kTransient>
-  bool evaluate_gate(GateId g, StepResult& result);
+  void evaluate_gate(GateId g, StepResult& result);
 
   template <bool kOverlay, bool kTransient>
-  void run_dense(StepResult& result);
-  template <bool kOverlay>
-  void run_sparse(StepResult& result);
-
-  /// Adds gate `g` to the sparse worklist (idempotent: one bit per gate).
-  void enqueue(GateId g) {
-    const std::size_t w = g >> 6;
-    queued_words_[w] |= std::uint64_t{1} << (g & 63);
-    if (w < queued_min_word_) queued_min_word_ = w;
-    if (w > queued_max_word_) queued_max_word_ = w;
-  }
+  void sweep(StepResult& result);
 
   /// Epoch-gated reads of the per-step state: a net not stamped with the
   /// current epoch is stable this step (changed = false, density = 0) — no
@@ -188,26 +149,14 @@ class TimingSim {
   const TechLibrary* tech_;
   const FaultOverlay* overlay_ = nullptr;
   std::int64_t step_index_ = 0;
-  Mode mode_ = Mode::kSparse;
-  /// Next step must be a dense sweep: set at power-up and whenever the
-  /// overlay or aging multipliers are swapped (a stuck-at can force a gate
-  /// whose fanin never changes, which no worklist would reach).
-  bool force_dense_ = true;
   std::uint64_t epoch_ = 0;            // current step's stamp
   std::vector<double> aging_scale_;    // per gate (possibly empty)
   std::vector<double> base_delay_ps_;  // per gate, aging + faults folded in
-  std::vector<double> cell_cap_ff_;    // per gate
   std::vector<Logic> value_;           // per net
   std::vector<double> arrival_;        // per net, valid when changed this step
   std::vector<std::uint8_t> changed_;  // per net, valid at net_epoch_ == epoch_
   std::vector<float> density_;         // per net, valid at net_epoch_ == epoch_
   std::vector<std::uint64_t> net_epoch_;  // per net: last stamping step
-  /// Sparse worklist: one bit per gate, popped lowest-id-first and cleared
-  /// as processed, so the bitmap is all-zero between steps (no epoch or
-  /// clearing pass needed). queued_*_word_ bound the live word range.
-  std::vector<std::uint64_t> queued_words_;
-  std::size_t queued_min_word_ = 0;
-  std::size_t queued_max_word_ = 0;
 };
 
 }  // namespace agingsim

@@ -1,13 +1,14 @@
 // Differential tests of the 64-lane batch kernel (src/sim/batch_sim.hpp)
-// against the scalar sparse kernel. The contract is the one PR 2 proved for
-// sparse-vs-dense, extended lane-wise: every guaranteed StepResult field and
-// every net value must be exactly `==` between a batch word and the 64
+// against the dense scalar TimingSim, its oracle: every StepResult field
+// and every net value must be exactly `==` between a batch word and the 64
 // scalar steps it packs — across power-up, aging overlays, all fault kinds
 // (including transient strikes on word boundaries), mid-run overlay/aging
 // swaps, partial tail words, and the guard-margin scalar-replay audit.
+// tests/fuzz_test.cpp runs the same differential on random netlists.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <optional>
@@ -59,10 +60,10 @@ struct AuditKnobs {
   double guard_ps = 0.0;
 };
 
-/// Drives a batch simulator word-by-word and a scalar sparse simulator
+/// Drives a batch simulator word-by-word and the scalar oracle
 /// pattern-by-pattern over `ops` random operand pairs and requires
-/// bit-identical observable state after every lane: the four guaranteed
-/// StepResult fields, the packed product, and every net value.
+/// bit-identical observable state after every lane: every StepResult
+/// field, the packed product, and every net value.
 void expect_batch_identical(const MultiplierNetlist& m, std::size_t ops,
                             const FaultOverlay* overlay = nullptr,
                             std::span<const double> aging = {},
@@ -105,7 +106,7 @@ void expect_batch_identical(const MultiplierNetlist& m, std::size_t ops,
       const StepResult s = scalar.apply(a_ops[i], b_ops[i]);
       const StepResult& b = res[static_cast<std::size_t>(l)];
       // Exact equality on purpose: the kernels promise identity, not
-      // closeness. gates_evaluated/gates_total are diagnostics and excluded.
+      // closeness.
       ASSERT_EQ(s.output_settle_ps, b.output_settle_ps)
           << "op " << i << " lane " << l;
       ASSERT_EQ(s.settle_ps, b.settle_ps) << "op " << i << " lane " << l;
@@ -140,10 +141,9 @@ TEST(BatchKernelTest, MatchesScalarOnRandomPatterns) {
 }
 
 TEST(BatchKernelTest, SkipsWordIdleGates) {
-  // The word-granular analogue of the sparse worklist: on a column-bypassing
-  // multiplier a run of low-weight operands freezes whole columns for all 64
-  // lanes at once, so the batch sweep must evaluate strictly fewer gate-words
-  // than gates x words.
+  // On a column-bypassing multiplier a run of low-weight operands freezes
+  // whole columns for all 64 lanes at once, so the batch sweep must
+  // evaluate strictly fewer gate-words than gates x words.
   const MultiplierNetlist m = build_column_bypass_multiplier(16);
   BatchTimingSim batch(m.netlist, test_tech());
   Rng rng(0xF00D);
@@ -215,6 +215,22 @@ TEST(BatchKernelTest, MatchesScalarWithBackToBackStrikesOnOneGate) {
   overlay.add({.kind = FaultKind::kTransient, .gate = victim, .cycle = 63});
   overlay.add({.kind = FaultKind::kTransient, .gate = victim, .cycle = 64});
   expect_batch_identical(m, 160, &overlay);
+}
+
+TEST(BatchKernelTest, MatchesScalarWhenStruckKeepersHoldTheFlip) {
+  // A strike on a tri-state followed by lanes that disable it: the keeper
+  // holds the flipped value, exactly as the scalar kernel's does. Strike
+  // every tri-state of a column-bypassing multiplier, each mid-word.
+  const MultiplierNetlist m = build_column_bypass_multiplier(8);
+  FaultOverlay overlay(m.netlist.num_gates());
+  std::int64_t cycle = 5;
+  for (GateId g = 0; g < m.netlist.num_gates(); ++g) {
+    if (m.netlist.gate(g).kind != CellKind::kTbuf) continue;
+    overlay.add({.kind = FaultKind::kTransient, .gate = g, .cycle = cycle});
+    cycle = 5 + (cycle + 7) % 110;
+  }
+  ASSERT_GT(overlay.num_faults(), 0u);
+  expect_batch_identical(m, 128, &overlay);
 }
 
 TEST(BatchKernelTest, MatchesScalarUnderDelayOutliers) {
@@ -338,6 +354,93 @@ TEST(BatchKernelTest, NarrowGuardReplaysOnlyBorderlineLanes) {
   EXPECT_EQ(batch.stats().audit_mismatches, 0u);
 }
 
+TEST(BatchKernelTest, AuditCanBeArmedMidRun) {
+  // The scalar audit simulator is built only while the audit is armed.
+  // Arming it mid-run — after an aging and an overlay swap — must give it
+  // the current delays and faults, and disarming it must change nothing.
+  const MultiplierNetlist m = build_row_bypass_multiplier(12);
+  const BtiModel model = BtiModel::calibrated(test_tech());
+  const AgingScenario scenario(m.netlist, test_tech(), model, 0x26F1, 200);
+  const auto aged = scenario.delay_scales_at(4.0);
+  FaultOverlay overlay(m.netlist.num_gates());
+  overlay.add({.kind = FaultKind::kDelayOutlier,
+               .gate = static_cast<GateId>(m.netlist.num_gates() / 2),
+               .delay_factor = 3.0});
+  const std::vector<double> all_lanes = {0.0};
+
+  MultiplierSim scalar(m, test_tech());
+  BatchTimingSim batch(m.netlist, test_tech());
+  Rng rng(0xA0D1);
+  std::vector<std::uint64_t> words(m.netlist.input_nets().size());
+  for (int w = 0; w < 6; ++w) {
+    if (w == 1) {
+      scalar.set_aging(aged);
+      batch.set_aging(aged);
+      scalar.set_fault_overlay(&overlay);
+      batch.set_fault_overlay(&overlay);
+    }
+    if (w == 2) batch.set_timing_audit(all_lanes, 1e12);
+    if (w == 4) batch.set_timing_audit({}, 0.0);
+    std::vector<std::uint64_t> a_ops(kBatchLanes), b_ops(kBatchLanes);
+    for (int l = 0; l < kBatchLanes; ++l) {
+      a_ops[static_cast<std::size_t>(l)] = rng.next_bits(m.width);
+      b_ops[static_cast<std::size_t>(l)] = rng.next_bits(m.width);
+      batch.load_bus_lane(words, a_ops[static_cast<std::size_t>(l)], m.width,
+                          m.a_first_input, l);
+      batch.load_bus_lane(words, b_ops[static_cast<std::size_t>(l)], m.width,
+                          m.b_first_input, l);
+    }
+    const std::span<const StepResult> res = batch.step_word(words);
+    for (int l = 0; l < kBatchLanes; ++l) {
+      const StepResult s = scalar.apply(a_ops[static_cast<std::size_t>(l)],
+                                        b_ops[static_cast<std::size_t>(l)]);
+      const StepResult& b = res[static_cast<std::size_t>(l)];
+      ASSERT_EQ(s.output_settle_ps, b.output_settle_ps) << "word " << w;
+      ASSERT_EQ(s.switched_cap_ff, b.switched_cap_ff) << "word " << w;
+      ASSERT_EQ(scalar.product(), batch.output_bits(l)) << "word " << w;
+    }
+  }
+  EXPECT_EQ(batch.stats().replayed_lanes, 2u * kBatchLanes);
+  EXPECT_EQ(batch.stats().audit_mismatches, 0u);
+}
+
+TEST(BatchKernelTest, RepeatedOperandsEvaluateNothing) {
+  // A word whose every lane repeats the operands the previous word ended
+  // on moves no input, so no gate is evaluated and every lane is silent.
+  const MultiplierNetlist m = build_column_bypass_multiplier(16);
+  BatchTimingSim batch(m.netlist, test_tech());
+  std::vector<std::uint64_t> words(m.netlist.input_nets().size());
+  for (int l = 0; l < kBatchLanes; ++l) {
+    batch.load_bus_lane(words, 0x1234u + static_cast<unsigned>(l), m.width,
+                        m.a_first_input, l);
+    batch.load_bus_lane(words, 0xABCDu, m.width, m.b_first_input, l);
+  }
+  batch.step_word(words);  // power-up word: every gate
+  for (int l = 0; l < kBatchLanes; ++l) {
+    batch.load_bus_lane(words, 0x1234u + kBatchLanes - 1, m.width,
+                        m.a_first_input, l);
+  }
+  const std::uint64_t before = batch.stats().gates_evaluated;
+  for (const StepResult& r : batch.step_word(words)) {
+    EXPECT_EQ(r.toggles, 0u);
+    EXPECT_EQ(r.switched_cap_ff, 0.0);
+    EXPECT_EQ(r.output_settle_ps, 0.0);
+  }
+  EXPECT_EQ(batch.stats().gates_evaluated, before);
+}
+
+TEST(BatchKernelTest, LaneStateIsSizedByLiveRange) {
+  // Lane arrays are shared by nets with disjoint live ranges: on CB32 the
+  // whole simulator state stays below 1 MiB, where one float[64] density
+  // and one double[64] arrival array per net alone would take 7.3 MiB.
+  const MultiplierNetlist m = build_column_bypass_multiplier(32);
+  const BatchTimingSim batch(m.netlist, test_tech());
+  const std::size_t per_net_lanes =
+      m.netlist.num_nets() * kBatchLanes * (sizeof(float) + sizeof(double));
+  EXPECT_LT(batch.state_bytes(), std::size_t{1} << 20);
+  EXPECT_LT(8 * batch.state_bytes(), per_net_lanes);
+}
+
 TEST(BatchKernelTest, InstallStateReproducesUninterruptedScalarStream) {
   // The primitive the replay audit rests on: install_state() + one step must
   // be bit-identical to the same step of an uninterrupted scalar run.
@@ -374,9 +477,40 @@ TEST(BatchKernelTest, InstallStateReproducesUninterruptedScalarStream) {
   }
 }
 
+/// The op trace the dense scalar oracle produces: compute_op_trace's
+/// contract, one TimingSim step per pattern.
+std::vector<OpTrace> dense_trace(const MultiplierNetlist& m,
+                                 std::span<const OperandPattern> patterns,
+                                 std::span<const double> aging,
+                                 const FaultOverlay* faults) {
+  MultiplierSim sim(m, test_tech(), aging);
+  sim.set_fault_overlay(faults);
+  std::vector<OpTrace> trace;
+  for (const OperandPattern& pat : patterns) {
+    const std::int64_t cycle = sim.timing_sim().steps();
+    const StepResult step = sim.apply(pat.a, pat.b);
+    OpTrace op;
+    op.a = pat.a;
+    op.b = pat.b;
+    op.product = sim.product();
+    op.golden = reference_multiply(pat.a, pat.b, m.width);
+    op.correct = op.product == op.golden;
+    op.fault_active = faults != nullptr && faults->active_at(cycle);
+    op.delay_ps = step.output_settle_ps;
+    op.switched_cap_ff = step.switched_cap_ff;
+    if (!trace.empty()) {
+      op.in_toggles = std::popcount(pat.a ^ trace.back().a) +
+                      std::popcount(pat.b ^ trace.back().b);
+      op.out_toggles = std::popcount(op.product ^ trace.back().product);
+    }
+    trace.push_back(op);
+  }
+  return trace;
+}
+
 TEST(BatchKernelTest, TraceEqualityAcrossKernels) {
-  // The layer above: compute_op_trace must emit the exact same OpTrace
-  // vector whichever kernel runs it — plain, aged, and faulted.
+  // The layer above: compute_op_trace (batch words) must emit the exact
+  // OpTrace vector the dense oracle steps out — plain, aged, and faulted.
   const std::size_t ops = 200;
   const BtiModel model = BtiModel::calibrated(test_tech());
   for (const auto arch :
@@ -399,25 +533,14 @@ TEST(BatchKernelTest, TraceEqualityAcrossKernels) {
     for (const FaultOverlay* faults : overlay_cases) {
       for (const std::span<const double> aging :
            {std::span<const double>{}, std::span<const double>(aged)}) {
-        TraceOptions sparse_opts{.gate_delay_scale = aging,
-                                 .faults = faults,
-                                 .kernel = SimKernel::kSparse};
-        TraceOptions dense_opts = sparse_opts;
-        dense_opts.kernel = SimKernel::kDense;
         BatchStats stats;
-        TraceOptions batch_opts = sparse_opts;
-        batch_opts.kernel = SimKernel::kBatch;
-        batch_opts.batch_stats = &stats;
-        batch_opts.batch_guard_ps = 0.0;  // audit off: pure batch path
-
-        const auto sparse_trace =
-            compute_op_trace(m, test_tech(), patterns, sparse_opts);
-        const auto dense_trace =
-            compute_op_trace(m, test_tech(), patterns, dense_opts);
+        const TraceOptions opts{.gate_delay_scale = aging,
+                                .faults = faults,
+                                .batch_guard_ps = 0.0,  // audit off
+                                .batch_stats = &stats};
         const auto batch_trace =
-            compute_op_trace(m, test_tech(), patterns, batch_opts);
-        ASSERT_EQ(sparse_trace, dense_trace);
-        ASSERT_EQ(sparse_trace, batch_trace);
+            compute_op_trace(m, test_tech(), patterns, opts);
+        ASSERT_EQ(dense_trace(m, patterns, aging, faults), batch_trace);
         EXPECT_EQ(stats.lanes, ops);
         EXPECT_EQ(stats.words, (ops + kBatchLanes - 1) / kBatchLanes);
       }
@@ -437,8 +560,7 @@ TEST(BatchKernelTest, TraceWithGuardedAuditStaysIdentical) {
   const auto reference = compute_op_trace(m, test_tech(), patterns,
                                           TraceOptions{});
   BatchStats stats;
-  TraceOptions opts{.kernel = SimKernel::kBatch,
-                    .timing_audit_thresholds_ps = thresholds,
+  TraceOptions opts{.timing_audit_thresholds_ps = thresholds,
                     .batch_guard_ps = 0.02 * period,
                     .batch_stats = &stats};
   const auto audited = compute_op_trace(m, test_tech(), patterns, opts);
@@ -447,26 +569,13 @@ TEST(BatchKernelTest, TraceWithGuardedAuditStaysIdentical) {
 }
 
 TEST(BatchKernelTest, KernelEnvResolution) {
-  EXPECT_EQ(resolve_kernel(SimKernel::kDense), SimKernel::kDense);
+  // One production kernel: the default resolves to the batch kernel, and
+  // the environment no longer selects anything.
+  EXPECT_EQ(resolve_kernel(SimKernel::kAuto), SimKernel::kBatch);
   EXPECT_EQ(resolve_kernel(SimKernel::kBatch), SimKernel::kBatch);
-  {
-    ScopedEnv scoped("AGINGSIM_KERNEL", "batch");
-    EXPECT_EQ(resolve_kernel(SimKernel::kAuto), SimKernel::kBatch);
-    // Explicit requests beat the environment.
-    EXPECT_EQ(resolve_kernel(SimKernel::kSparse), SimKernel::kSparse);
-  }
-  {
-    ScopedEnv scoped("AGINGSIM_KERNEL", "dense");
-    EXPECT_EQ(resolve_kernel(SimKernel::kAuto), SimKernel::kDense);
-  }
-  {
-    ScopedEnv scoped("AGINGSIM_KERNEL", "turbo");  // warns once, falls back
-    EXPECT_EQ(resolve_kernel(SimKernel::kAuto), SimKernel::kSparse);
-  }
-  {
-    ScopedEnv scoped("AGINGSIM_KERNEL", nullptr);
-    EXPECT_EQ(resolve_kernel(SimKernel::kAuto), SimKernel::kSparse);
-  }
+  EXPECT_STREQ(kernel_name(resolve_kernel(SimKernel::kAuto)), "batch");
+  ScopedEnv scoped("AGINGSIM_KERNEL", "dense");
+  EXPECT_EQ(resolve_kernel(SimKernel::kAuto), SimKernel::kBatch);
 }
 
 TEST(BatchKernelTest, LaneBackendReportsAName) {

@@ -1,13 +1,16 @@
 // Differential fuzzing of the simulation substrate: random combinational
 // netlists are evaluated by TimingSim (single topological pass) and by an
-// independent oracle (iterate-to-fixpoint, order-independent). Any
+// independent oracle (iterate-to-fixpoint, order-independent), and the
+// batch kernel is checked lane by lane against TimingSim. Any
 // divergence in functional values, any sensitized arrival beyond the STA
 // bound, or any structural-validation miss is a bug in the engine the whole
 // reproduction stands on.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include "src/aging/stress.hpp"
@@ -18,6 +21,7 @@
 #include "src/netlist/netlist.hpp"
 #include "src/netlist/surgeon.hpp"
 #include "src/netlist/techlib.hpp"
+#include "src/sim/batch_sim.hpp"
 #include "src/sim/sta.hpp"
 #include "src/sim/timing_sim.hpp"
 #include "src/workload/rng.hpp"
@@ -156,6 +160,179 @@ TEST(FuzzTest, DensityIsFiniteAndNonNegative) {
       const StepResult r = sim.step(pattern);
       EXPECT_GE(r.switched_cap_ff, 0.0);
       EXPECT_TRUE(std::isfinite(r.switched_cap_ff));
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Batch kernel vs the dense scalar oracle on random netlists. The generated
+// multipliers never exercise several lane-slot corner cases; this netlist
+// shape does: gates reading only primary inputs (no arrival slot), some of
+// them primary outputs; a primary input marked as an output; inputs drawn
+// from far back (long live ranges) and outputs on early nets (live to the
+// end of the sweep); nets nobody reads; and tri-states whose enable sits at
+// 0 or a tie, so keepers hold their power-up X across words.
+// ---------------------------------------------------------------------------
+
+Netlist differential_netlist(Rng& rng, int num_inputs, int num_gates) {
+  Netlist nl;
+  for (int i = 0; i < num_inputs; ++i) {
+    nl.add_input("in" + std::to_string(i));
+  }
+  constexpr CellKind kKinds[] = {
+      CellKind::kBuf,  CellKind::kInv,  CellKind::kAnd2, CellKind::kNand2,
+      CellKind::kOr2,  CellKind::kNor2, CellKind::kXor2, CellKind::kXnor2,
+      CellKind::kAnd3, CellKind::kOr3,  CellKind::kMux2, CellKind::kTbuf,
+      CellKind::kTbuf, CellKind::kTie0, CellKind::kTie1};
+  std::vector<NetId> inputs_only;  // outputs of gates reading only inputs
+  for (int g = 0; g < num_gates; ++g) {
+    const CellKind kind =
+        kKinds[rng.next_below(sizeof(kKinds) / sizeof(kKinds[0]))];
+    const int n_in = cell_traits(kind).num_inputs;
+    // 0: primary inputs only; 1: the oldest quarter of the nets; else any.
+    const std::uint64_t source = rng.next_below(4);
+    const std::size_t pool =
+        source == 0 ? static_cast<std::size_t>(num_inputs)
+        : source == 1 ? std::max<std::size_t>(nl.num_nets() / 4, 1)
+                      : nl.num_nets();
+    std::vector<NetId> ins;
+    for (int k = 0; k < n_in; ++k) {
+      ins.push_back(static_cast<NetId>(rng.next_below(pool)));
+    }
+    const NetId out = nl.add_gate(kind, ins);
+    if (source == 0) inputs_only.push_back(out);
+  }
+  std::vector<NetId> outs = {
+      static_cast<NetId>(nl.num_nets() - 1),
+      static_cast<NetId>(nl.num_nets() - 2),
+      static_cast<NetId>(rng.next_below(static_cast<std::uint64_t>(
+          num_inputs))),
+      static_cast<NetId>(num_inputs + static_cast<int>(rng.next_below(
+                                          static_cast<std::uint64_t>(
+                                              num_gates / 4))))};
+  if (!inputs_only.empty()) {
+    outs.push_back(inputs_only[rng.next_below(inputs_only.size())]);
+  }
+  std::sort(outs.begin(), outs.end());
+  outs.erase(std::unique(outs.begin(), outs.end()), outs.end());
+  for (std::size_t i = 0; i < outs.size(); ++i) {
+    nl.mark_output(outs[i], "out" + std::to_string(i));
+  }
+  return nl;
+}
+
+/// Random overlay with every fault kind; transients land on the next
+/// `horizon` steps after `step`.
+FaultOverlay random_overlay(Rng& rng, const Netlist& nl, std::int64_t step,
+                            std::uint64_t horizon) {
+  FaultOverlay overlay(nl.num_gates());
+  const auto gate = [&] {
+    return static_cast<GateId>(rng.next_below(nl.num_gates()));
+  };
+  overlay.add({.kind = FaultKind::kStuckAt0, .gate = gate()});
+  overlay.add({.kind = FaultKind::kStuckAt1, .gate = gate()});
+  overlay.add({.kind = FaultKind::kDelayOutlier,
+               .gate = gate(),
+               .delay_factor = 1.0 + 3.0 * rng.next_double()});
+  for (int t = 0; t < 3; ++t) {
+    overlay.add({.kind = FaultKind::kTransient,
+                 .gate = gate(),
+                 .cycle = step + static_cast<std::int64_t>(
+                                     rng.next_below(horizon))});
+  }
+  return overlay;
+}
+
+/// Steps `batch` one word of `lanes` random patterns and `dense` through
+/// the same patterns one at a time; every StepResult field and every
+/// per-lane net value must match exactly. Returns false on a mismatch.
+bool step_both(Rng& rng, BatchTimingSim& batch, TimingSim& dense, int lanes) {
+  const Netlist& nl = batch.netlist();
+  std::vector<std::uint64_t> words(nl.num_inputs());
+  for (auto& w : words) w = rng.next();
+  const std::span<const StepResult> res = batch.step_word(words, lanes);
+  std::vector<Logic> pattern(nl.num_inputs());
+  for (int l = 0; l < lanes; ++l) {
+    for (std::size_t i = 0; i < pattern.size(); ++i) {
+      pattern[i] = logic_from_bool(((words[i] >> l) & 1u) != 0);
+    }
+    const StepResult d = dense.step(pattern);
+    const StepResult& b = res[static_cast<std::size_t>(l)];
+    EXPECT_EQ(d.output_settle_ps, b.output_settle_ps) << "lane " << l;
+    EXPECT_EQ(d.settle_ps, b.settle_ps) << "lane " << l;
+    EXPECT_EQ(d.toggles, b.toggles) << "lane " << l;
+    EXPECT_EQ(d.switched_cap_ff, b.switched_cap_ff) << "lane " << l;
+    if (testing::Test::HasFailure()) return false;
+    for (NetId n = 0; n < nl.num_nets(); ++n) {
+      if (dense.value(n) != batch.lane_value(n, l)) {
+        ADD_FAILURE() << "net " << n << " lane " << l;
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+TEST(FuzzTest, BatchKernelMatchesDenseOnRandomNetlists) {
+  Rng rng(0xF02A);
+  int keepers_holding_x = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const Netlist nl = differential_netlist(rng, 7, 90);
+    BatchTimingSim batch(nl, default_tech_library());
+    TimingSim dense(nl, default_tech_library());
+    for (int word = 0; word < 4; ++word) {
+      // Full words, then a partial last word.
+      const int lanes = word < 3 ? kBatchLanes
+                                 : 1 + static_cast<int>(rng.next_below(63));
+      ASSERT_TRUE(step_both(rng, batch, dense, lanes))
+          << "trial " << trial << " word " << word;
+    }
+    for (GateId g = 0; g < nl.num_gates(); ++g) {
+      if (nl.gate(g).kind == CellKind::kTbuf &&
+          dense.value(nl.gate(g).out) == Logic::kX) {
+        ++keepers_holding_x;
+      }
+    }
+  }
+  // The shape this test exists for actually occurred.
+  EXPECT_GT(keepers_holding_x, 0);
+}
+
+TEST(FuzzTest, BatchKernelMatchesDenseAcrossOverlaySwaps) {
+  Rng rng(0xF02B);
+  for (int trial = 0; trial < 40; ++trial) {
+    const Netlist nl = differential_netlist(rng, 6, 80);
+    BatchTimingSim batch(nl, default_tech_library());
+    TimingSim dense(nl, default_tech_library());
+    std::vector<std::unique_ptr<FaultOverlay>> overlays;
+    for (int word = 0; word < 8; ++word) {
+      const int lanes = 1 + static_cast<int>(rng.next_below(kBatchLanes));
+      switch (rng.next_below(4)) {
+        case 0: {  // age the circuit (or make it fresh again)
+          std::vector<double> scales;
+          if ((rng.next() & 1) != 0) {
+            scales.resize(nl.num_gates());
+            for (auto& x : scales) x = 1.0 + 0.5 * rng.next_double();
+          }
+          batch.set_aging(scales);
+          dense.set_aging(scales);
+          break;
+        }
+        case 1:  // strikes land in this word and, past it, the next one
+          overlays.push_back(std::make_unique<FaultOverlay>(random_overlay(
+              rng, nl, dense.steps(), static_cast<std::uint64_t>(lanes) + 8)));
+          batch.set_fault_overlay(overlays.back().get());
+          dense.set_fault_overlay(overlays.back().get());
+          break;
+        case 2:
+          batch.set_fault_overlay(nullptr);
+          dense.set_fault_overlay(nullptr);
+          break;
+        default:
+          break;
+      }
+      ASSERT_TRUE(step_both(rng, batch, dense, lanes))
+          << "trial " << trial << " word " << word;
     }
   }
 }

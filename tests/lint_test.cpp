@@ -443,6 +443,31 @@ TEST(LintConsistencyTest, MiswiredGateRaisesFunctionalError) {
   EXPECT_GE(errors_for(report.diagnostics, "consistency.functional"), 1u);
 }
 
+TEST(LintConsistencyTest, UnknownOutputAbortsTheRule) {
+  // A product bit no vector ever drives (a tri-state enabled by a tie-0
+  // keeps its power-up X) cannot be compared: the rule aborts, naming the
+  // output, instead of counting a mismatch.
+  MultiplierNetlist mult{Netlist{}, MultiplierArch::kArray, 1, 0, 1};
+  const NetId a0 = mult.netlist.add_input("a0");
+  const NetId b0 = mult.netlist.add_input("b0");
+  mult.netlist.mark_output(mult.netlist.add_gate(CellKind::kAnd2, {a0, b0}),
+                           "p0");
+  const NetId off = mult.netlist.add_gate(CellKind::kTie0, {});
+  mult.netlist.mark_output(mult.netlist.add_gate(CellKind::kTbuf, {a0, off}),
+                           "p1");
+  lint::LintContext ctx;
+  ctx.netlist = &mult.netlist;
+  ctx.multiplier = &mult;
+  ctx.consistency.vectors = 8;
+  const auto diags =
+      diags_for(LintEngine().run(ctx).diagnostics, "consistency.functional");
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_EQ(diags[0].severity, Severity::kError);
+  EXPECT_EQ(diags[0].message,
+            "rule aborted with exception: TimingSim::output_bits: output p1 "
+            "is unknown");
+}
+
 // ---------------------------------------------------------------------------
 // Engine / registry / report plumbing
 // ---------------------------------------------------------------------------

@@ -1,19 +1,26 @@
 // The observability layer's contracts (docs/OBSERVABILITY.md): disabled
 // sites record nothing, shards merge across threads, trace rings keep the
 // newest spans on wraparound, and the Chrome trace export is well-formed
-// JSON whose complete events nest consistently.
+// JSON whose complete events nest consistently — and every metric the
+// library emits is documented.
 
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <cstdint>
+#include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/common.hpp"
+#include "src/fault/campaign.hpp"
+#include "src/mc/mc_campaign.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
+#include "src/runtime/robust_runner.hpp"
 
 namespace agingsim {
 namespace {
@@ -288,6 +295,49 @@ TEST(ObsTraceTest, SpanEnabledAtConstructionRecordsDespiteLaterDisable) {
   }
   const std::string json = obs::trace_json();
   EXPECT_NE(json.find("obs_test.mid_disable"), std::string::npos) << json;
+}
+
+// ---------------------------------------------------------------------------
+// Doc drift: every metric a trace, a fault campaign and an MC campaign emit
+// must be listed (full name, backticked) in docs/OBSERVABILITY.md.
+
+TEST(ObsDocTest, EveryEmittedMetricIsDocumented) {
+  ObsQuiesce quiesce;
+  obs::set_metrics_enabled(true);
+  const MultiplierNetlist m = build_column_bypass_multiplier(8);
+  const auto patterns = bench::workload(8, 100);
+  (void)compute_op_trace(m, bench::tech(), patterns);
+
+  VlSystemConfig system;
+  system.period_ps = 0.6 * critical_path_ps(m, bench::tech());
+  system.ahl.width = 8;
+  FaultCampaignConfig faults;
+  faults.trials = 2;
+  runtime::RobustRunner runner(runtime::RunnerConfig{});
+  (void)FaultCampaign(m, bench::tech(), system, faults)
+      .run(patterns, CampaignRunOptions{.runner = &runner});
+
+  mc::McCampaignConfig mc_cfg;
+  mc_cfg.width = 8;
+  mc_cfg.arches = {MultiplierArch::kColumnBypass};
+  mc_cfg.trials = 2;
+  mc_cfg.ops = 16;
+  mc_cfg.strata = 2;
+  (void)mc::McCampaign(bench::tech(), mc_cfg).run();
+
+  std::ifstream doc(std::string(AGINGSIM_SOURCE_DIR) +
+                    "/docs/OBSERVABILITY.md");
+  ASSERT_TRUE(doc.good());
+  const std::string text((std::istreambuf_iterator<char>(doc)),
+                         std::istreambuf_iterator<char>());
+  std::size_t checked = 0;
+  for (const obs::MetricValue& metric : obs::metrics_snapshot()) {
+    if (metric.name.starts_with("obs_test.")) continue;  // this file's own
+    ++checked;
+    EXPECT_NE(text.find("`" + metric.name + "`"), std::string::npos)
+        << metric.name << " is missing from docs/OBSERVABILITY.md";
+  }
+  EXPECT_GT(checked, 10u);
 }
 
 }  // namespace

@@ -132,17 +132,13 @@ TEST(ParallelDeterminismTest, BatchKernelCampaignIsIdenticalAcrossThreads) {
   const FaultCampaign campaign(m, tech(), system, config);
   const auto patterns = workload(16, 150);
 
-  const auto run_with = [&](const char* threads, SimKernel kernel) {
+  const auto run_with = [&](const char* threads) {
     ScopedThreadsEnv scoped(threads);
-    return campaign.run(patterns, CampaignRunOptions{.kernel = kernel});
+    return campaign.run(patterns, CampaignRunOptions{});
   };
-  const FaultCampaignStats one = run_with("1", SimKernel::kBatch);
-  const FaultCampaignStats eight = run_with("8", SimKernel::kBatch);
+  const FaultCampaignStats one = run_with("1");
+  const FaultCampaignStats eight = run_with("8");
   EXPECT_TRUE(one == eight) << "batch campaign diverged across thread counts";
-  // The kernels are bit-identical, so the whole campaign is too: the batch
-  // word kernel must reproduce the sparse event-driven statistics exactly.
-  const FaultCampaignStats sparse = run_with("8", SimKernel::kSparse);
-  EXPECT_TRUE(one == sparse) << "batch campaign diverged from sparse kernel";
   EXPECT_EQ(one.trials, 5u);
   EXPECT_GT(one.ops, 0u);
 }
@@ -152,7 +148,7 @@ TEST(ParallelDeterminismTest, BatchKernelCampaignIsIdenticalAcrossThreads) {
 // else). Emulated here by erasing the trailing units' files; the resumed
 // campaign must restore the survivors, recompute only the missing units,
 // and land on byte-identical statistics — even when the resume switches
-// kernel and thread count, since neither is part of the config digest.
+// thread count, which is not part of the config digest.
 TEST(ParallelDeterminismTest, BatchCampaignResumesIdenticallyAfterKill) {
   namespace fs = std::filesystem;
   const fs::path dir =
@@ -176,7 +172,7 @@ TEST(ParallelDeterminismTest, BatchCampaignResumesIdenticallyAfterKill) {
   fast.max_retries = 0;
   fast.backoff_base = std::chrono::milliseconds(1);
 
-  // Uninterrupted single-thread sparse run: the golden statistics, and the
+  // Uninterrupted single-thread run: the golden statistics, and the
   // full set of per-unit checkpoints (baseline + trials = 7 files).
   FaultCampaignStats golden;
   {
@@ -188,7 +184,7 @@ TEST(ParallelDeterminismTest, BatchCampaignResumesIdenticallyAfterKill) {
     runtime::RobustRunner runner(cfg);
     golden = campaign.run(
         patterns,
-        CampaignRunOptions{.kernel = SimKernel::kSparse, .runner = &runner});
+        CampaignRunOptions{.runner = &runner});
   }
 
   // "Kill" after unit 2: units 3.. never persisted.
@@ -201,7 +197,7 @@ TEST(ParallelDeterminismTest, BatchCampaignResumesIdenticallyAfterKill) {
   }
   ASSERT_EQ(erased, 4u);
 
-  // Resume on 8 threads under the batch kernel: restored prefix + freshly
+  // Resume on 8 threads: restored prefix + freshly
   // computed tail must reproduce the golden statistics exactly.
   {
     ScopedThreadsEnv scoped("8");
@@ -212,9 +208,8 @@ TEST(ParallelDeterminismTest, BatchCampaignResumesIdenticallyAfterKill) {
     runtime::RobustRunner runner(cfg);
     runtime::RunReport report;
     const FaultCampaignStats resumed = campaign.run(
-        patterns, CampaignRunOptions{.kernel = SimKernel::kBatch,
-                                     .runner = &runner,
-                                     .report = &report});
+        patterns,
+        CampaignRunOptions{.runner = &runner, .report = &report});
     EXPECT_TRUE(resumed == golden) << "resumed campaign diverged";
     EXPECT_EQ(report.restored, 3u);
     EXPECT_EQ(report.computed, 4u);
@@ -251,7 +246,7 @@ TEST(ParallelDeterminismTest, MetricsSnapshotIsIdenticalAcrossThreadCounts) {
 
   EXPECT_EQ(one, eight);
   // The snapshot actually observed the campaign, not an empty registry.
-  EXPECT_NE(one.find("\"sim.steps_dense\""), std::string::npos) << one;
+  EXPECT_NE(one.find("\"sim.batch.lanes\""), std::string::npos) << one;
   EXPECT_NE(one.find("\"campaign.trials_completed\""), std::string::npos);
   EXPECT_NE(one.find("\"pool.jobs\""), std::string::npos);
   EXPECT_EQ(one.find("\"pool.worker_busy_us\""), std::string::npos) << one;

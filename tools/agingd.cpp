@@ -83,9 +83,6 @@ void print_usage(std::ostream& os) {
         "                       [$AGINGSIM_SERVE_MAX_INFLIGHT or 32]\n"
         "  --checkpoint-dir D   campaign checkpoint root"
         " [$AGINGSIM_SERVE_CHECKPOINT_DIR or none]\n"
-        "  --kernel NAME        step kernel for query/campaign traces:\n"
-        "                       dense|sparse|batch [$AGINGSIM_KERNEL or"
-        " sparse]\n"
         "  --batch-guard-ps F   batch-kernel scalar-replay guard margin in\n"
         "                       ps [$AGINGSIM_BATCH_GUARD_PS or 0 = off]\n"
         "  --trace PATH         write a Chrome trace-event file on exit\n"
@@ -202,16 +199,6 @@ std::optional<Options> parse_args(int argc, char** argv, int& exit_code) {
       const auto v = need_value("--checkpoint-dir");
       if (!v) { exit_code = 2; return std::nullopt; }
       opt.server.service.checkpoint_root = *v;
-    } else if (arg == "--kernel") {
-      const auto v = need_value("--kernel");
-      if (!v || (*v != "dense" && *v != "sparse" && *v != "batch")) {
-        std::cerr << "agingd: --kernel wants dense|sparse|batch\n";
-        exit_code = 2;
-        return std::nullopt;
-      }
-      // Exported rather than stored: every trace path (query lane, batch
-      // campaign lane) resolves kAuto through AGINGSIM_KERNEL.
-      ::setenv("AGINGSIM_KERNEL", v->c_str(), 1);
     } else if (arg == "--batch-guard-ps") {
       const auto v = need_value("--batch-guard-ps");
       if (!v || !env::parse_double(*v).has_value() ||

@@ -176,8 +176,6 @@ void print_usage(std::ostream& os) {
         "  --backoff-ms N     base backoff before the first retry [25]\n"
         "  --chaos SPEC       seed:rate[:actions], actions in [tpsc]\n"
         "                     (overrides AGINGSIM_CHAOS)\n"
-        "  --kernel NAME      step kernel: dense|sparse|batch (overrides\n"
-        "                     AGINGSIM_KERNEL) [sparse]\n"
         "  --batch-guard-ps F batch-kernel scalar-replay guard margin in ps\n"
         "                     (overrides AGINGSIM_BATCH_GUARD_PS) [0 = off]\n"
         "  --json PATH        write campaign JSON to PATH ('-' = stdout)\n"
@@ -379,16 +377,6 @@ std::optional<Options> parse_args(int argc, char** argv, int& exit_code) {
       const auto v = need_value("--chaos");
       if (!v) { exit_code = 2; return std::nullopt; }
       opt.chaos_spec = *v;
-    } else if (arg == "--kernel") {
-      const auto v = need_value("--kernel");
-      if (!v || (*v != "dense" && *v != "sparse" && *v != "batch")) {
-        std::cerr << "agingrun: --kernel wants dense|sparse|batch\n";
-        exit_code = 2;
-        return std::nullopt;
-      }
-      // Exported rather than stored: every layer resolves the kernel through
-      // AGINGSIM_KERNEL, so one setenv reaches them all.
-      ::setenv("AGINGSIM_KERNEL", v->c_str(), 1);
     } else if (arg == "--batch-guard-ps") {
       const auto v = need_value("--batch-guard-ps");
       if (!v || !env::parse_double(*v).has_value() ||
@@ -550,12 +538,6 @@ int run_tool(const Options& opt) {
     mcfg.sigma_aging = opt.sigma_aging;
     mcfg.strata = opt.strata;
     mcfg.period_frac = opt.period_frac;
-    // The batch word kernel is the intended fast path, but an explicit
-    // --kernel (exported as AGINGSIM_KERNEL above) or a pre-set environment
-    // wins — kernels are bit-identical, so the artifact doesn't change.
-    if (std::getenv("AGINGSIM_KERNEL") != nullptr) {
-      mcfg.kernel = SimKernel::kAuto;
-    }
     const mc::McCampaign campaign(lib, std::move(mcfg));
     if (!attach_store(campaign.config_digest())) return 3;
     runtime::RobustRunner runner(runner_config);
