@@ -22,7 +22,7 @@
 #include <cstdio>
 
 #include "bench/common.hpp"
-#include "src/fault/campaign.hpp"
+#include "src/fault/campaign_spec.hpp"
 #include "src/report/json.hpp"
 
 using namespace agingsim;
@@ -67,22 +67,20 @@ void emit_campaign(JsonWriter& json, const CampaignPoint& point, int year,
 
 static int bench_body() {
   const TechLibrary& lib = tech();
-  const MultiplierNetlist cb16 = build_column_bypass_multiplier(16);
-  const double crit = critical_path_ps(cb16, lib);
-  const std::size_t ops = std::max<std::size_t>(400, default_ops() / 10);
-  const auto pats = workload(16, ops);
+  // The default campaign spec (docs/FAULTS.md): CB16 at 0.58 x the critical
+  // path, skip 7, and a non-ideal Razor whose 5 ps metastability window is
+  // the residual SDC channel of a real Razor bank.
+  FaultCampaignSpec spec;
+  spec.ops = std::max<std::size_t>(400, default_ops() / 10);
+  const FaultCampaignSetup setup(spec, lib);
+  const MultiplierNetlist& cb16 = setup.mult;
+  const double crit = setup.crit_ps;
+  const std::size_t ops = spec.ops;
+  const auto& pats = setup.patterns;
+  const VlSystemConfig& cfg = setup.system;
 
   const BtiModel bti = BtiModel::calibrated(lib);
   AgingScenario scenario(cb16.netlist, lib, bti, 0xFA17, 1000);
-
-  VlSystemConfig cfg;
-  cfg.period_ps = 0.58 * crit;
-  cfg.ahl.width = 16;
-  cfg.ahl.skip = 7;
-  // Non-ideal Razor: a 5 ps metastability window past the clock edge where
-  // detection may escape — the residual SDC channel of a real Razor bank.
-  cfg.razor.metastability_window_ps = 5.0;
-  cfg.razor.edge_escape_prob = 0.5;
 
   const CampaignPoint points[] = {
       {"stuck-at-0", FaultKind::kStuckAt0, 1.0, 1},

@@ -27,11 +27,8 @@
 namespace agingsim::bench {
 
 /// Calibrated library: 16x16 column-bypassing critical path = 1.88 ns, the
-/// paper's Fig. 5 anchor. Built once per process.
-inline const TechLibrary& tech() {
-  static const TechLibrary t = calibrated_tech_library(1880.0);
-  return t;
-}
+/// paper's Fig. 5 anchor (src/core/calibration.hpp).
+inline const TechLibrary& tech() { return paper_tech_library(); }
 
 /// Canonical seeded workload: `count` uniform operand pairs.
 inline std::vector<OperandPattern> workload(int width, std::size_t count,

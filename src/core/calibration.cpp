@@ -18,6 +18,11 @@ double uncalibrated_cb16_ps() {
 
 }  // namespace
 
+const TechLibrary& paper_tech_library() {
+  static const TechLibrary t = calibrated_tech_library();
+  return t;
+}
+
 double calibration_scale(double target_cb16_ps) {
   if (!(target_cb16_ps > 0.0)) {
     throw std::invalid_argument("calibration_scale: target must be > 0");

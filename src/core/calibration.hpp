@@ -11,6 +11,10 @@ namespace agingsim {
 /// distribution shapes, variable-latency crossovers — are calibration-free.
 TechLibrary calibrated_tech_library(double target_cb16_ps = 1880.0);
 
+/// calibrated_tech_library() at the paper's anchor, built once per process:
+/// the library of every bench, agingrun and agingd.
+const TechLibrary& paper_tech_library();
+
 /// The scale factor that `calibrated_tech_library` applies (diagnostics).
 double calibration_scale(double target_cb16_ps = 1880.0);
 

@@ -97,24 +97,6 @@ std::optional<std::string> str_var(const char* name) {
   return std::string(raw);
 }
 
-std::optional<std::size_t> choice_var(const char* name,
-                                      std::span<const char* const> choices) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return std::nullopt;
-  const std::string_view value(raw);
-  for (std::size_t i = 0; i < choices.size(); ++i) {
-    if (value == choices[i]) return i;
-  }
-  std::string what = "ignored (want one of:";
-  for (const char* c : choices) {
-    what += ' ';
-    what += c;
-  }
-  what += ')';
-  warn_once(name, raw, what.c_str());
-  return std::nullopt;
-}
-
 double double_or(const char* name, double fallback, double min_value) {
   const char* raw = std::getenv(name);
   if (raw == nullptr || *raw == '\0') return fallback;

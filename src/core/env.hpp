@@ -21,7 +21,6 @@
 
 #include <limits>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 
@@ -52,14 +51,6 @@ long long_or(const char* name, long fallback, long min_value,
 /// Reads `name` as a string; nullopt when unset or empty (an empty
 /// AGINGSIM_CHECKPOINT_DIR means "no checkpoints", not "current dir").
 std::optional<std::string> str_var(const char* name);
-
-/// Reads `name` and matches it (exact, case-sensitive) against `choices`.
-/// Returns the matched index; unset/empty is silently nullopt, and a value
-/// matching no choice warns once (listing the accepted spellings) and
-/// returns nullopt so the caller's default wins — a misspelled mode knob
-/// must degrade loudly to the default, never abort a campaign.
-std::optional<std::size_t> choice_var(const char* name,
-                                      std::span<const char* const> choices);
 
 /// Reads `name` as a strict finite double >= min_value, with the same
 /// warn-once-and-fall-back contract as long_or (AGINGSIM_BATCH_GUARD_PS).

@@ -7,17 +7,10 @@
 #include <vector>
 
 #include "src/core/env.hpp"
+#include "src/workload/rng.hpp"
 
 namespace agingsim::runtime {
 namespace {
-
-/// splitmix64 — the repo-standard bit mixer (see workload/rng.hpp).
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
 
 double to_unit_interval(std::uint64_t x) {
   return static_cast<double>(x >> 11) * 0x1.0p-53;
@@ -35,12 +28,15 @@ std::string_view chaos_action_name(ChaosAction action) {
   return "unknown";
 }
 
-std::optional<ChaosPolicy> ChaosPolicy::parse(std::string_view spec,
-                                              std::string* error) {
-  const auto fail = [&](const std::string& why) -> std::optional<ChaosPolicy> {
+std::optional<ChaosSpec> ChaosSpec::parse(std::string_view spec,
+                                          std::string_view allowed,
+                                          std::string_view default_actions,
+                                          std::string* error) {
+  const auto fail = [&](const std::string& why) -> std::optional<ChaosSpec> {
     if (error != nullptr) {
       *error = "chaos spec '" + std::string(spec) + "': " + why +
-               " (expected seed:rate[:actions], actions in [tpsc])";
+               " (expected seed:rate[:actions], actions in [" +
+               std::string(allowed) + "])";
     }
     return std::nullopt;
   };
@@ -58,31 +54,38 @@ std::optional<ChaosPolicy> ChaosPolicy::parse(std::string_view spec,
     return fail("need 2 or 3 colon-separated fields");
   }
 
-  ChaosPolicy policy;
+  ChaosSpec out;
   // Strict whole-field parses (src/core/env.hpp): trailing garbage in any
   // field rejects the spec instead of silently truncating it.
   const auto seed = env::parse_u64(fields[0], 0);  // base 0: 0x ok
   if (!seed.has_value()) return fail("bad seed");
-  policy.seed = *seed;
+  out.seed = *seed;
   const auto rate = env::parse_double(fields[1]);
   if (!rate.has_value() || *rate < 0.0 || *rate > 1.0) {
     return fail("rate must be a number in [0, 1]");
   }
-  policy.rate = *rate;
-
-  if (fields.size() == 3) {
-    policy.throw_transient = false;
-    if (fields[2].empty()) return fail("empty actions field");
-    for (char c : fields[2]) {
-      switch (c) {
-        case 't': policy.throw_transient = true; break;
-        case 'p': policy.throw_permanent = true; break;
-        case 's': policy.stall = true; break;
-        case 'c': policy.crash = true; break;
-        default: return fail(std::string("unknown action '") + c + "'");
-      }
+  out.rate = *rate;
+  out.actions = fields.size() == 3 ? fields[2] : std::string(default_actions);
+  if (out.actions.empty()) return fail("empty actions field");
+  for (const char c : out.actions) {
+    if (allowed.find(c) == std::string_view::npos) {
+      return fail(std::string("unknown action '") + c + "'");
     }
   }
+  return out;
+}
+
+std::optional<ChaosPolicy> ChaosPolicy::parse(std::string_view spec,
+                                              std::string* error) {
+  const auto parsed = ChaosSpec::parse(spec, "tpsc", "t", error);
+  if (!parsed.has_value()) return std::nullopt;
+  ChaosPolicy policy;
+  policy.seed = parsed->seed;
+  policy.rate = parsed->rate;
+  policy.throw_transient = parsed->has('t');
+  policy.throw_permanent = parsed->has('p');
+  policy.stall = parsed->has('s');
+  policy.crash = parsed->has('c');
   return policy;
 }
 
@@ -108,10 +111,11 @@ ChaosAction ChaosPolicy::decide(std::uint64_t unit, int attempt) const {
   if (n == 0) return ChaosAction::kNone;
 
   const std::uint64_t h =
-      mix64(seed ^ mix64(unit + 1) ^
-            mix64(static_cast<std::uint64_t>(attempt) * 0x5DEECE66DULL));
+      splitmix64(seed ^ splitmix64(unit + 1) ^
+                 splitmix64(static_cast<std::uint64_t>(attempt) *
+                            0x5DEECE66DULL));
   if (to_unit_interval(h) >= rate) return ChaosAction::kNone;
-  return enabled_actions[mix64(h) % n];
+  return enabled_actions[splitmix64(h) % n];
 }
 
 std::uint64_t ChaosPolicy::crash_after_units(std::uint64_t epoch) const {
@@ -120,7 +124,7 @@ std::uint64_t ChaosPolicy::crash_after_units(std::uint64_t epoch) const {
   // minimum 1 guarantees at least one fresh unit is persisted per run.
   const std::uint64_t span =
       rate >= 1.0 ? 1 : static_cast<std::uint64_t>(1.0 / rate);
-  return 1 + mix64(seed ^ mix64(epoch + 0x9E37ULL)) % span;
+  return 1 + splitmix64(seed ^ splitmix64(epoch + 0x9E37ULL)) % span;
 }
 
 }  // namespace agingsim::runtime

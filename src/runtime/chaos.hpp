@@ -33,6 +33,28 @@ enum class ChaosAction {
 
 std::string_view chaos_action_name(ChaosAction action);
 
+/// The one `seed:rate[:actions]` grammar of AGINGSIM_CHAOS and
+/// AGINGSIM_SERVE_CHAOS (src/serve/chaos.hpp): a decimal or 0x-hex seed, a
+/// rate in [0, 1], and a non-empty set of action letters.
+struct ChaosSpec {
+  std::uint64_t seed = 0;
+  double rate = 0.0;
+  std::string actions;  ///< letters from `allowed`, as given
+
+  bool has(char action) const noexcept {
+    return actions.find(action) != std::string::npos;
+  }
+
+  /// Strict whole-field parse; `actions` is `default_actions` when the
+  /// field is omitted. Returns nullopt (and fills *error) for a wrong field
+  /// count, a malformed field, a rate outside [0, 1], or a letter outside
+  /// `allowed`.
+  static std::optional<ChaosSpec> parse(std::string_view spec,
+                                        std::string_view allowed,
+                                        std::string_view default_actions,
+                                        std::string* error = nullptr);
+};
+
 struct ChaosPolicy {
   std::uint64_t seed = 0;
   double rate = 0.0;  ///< per-(unit, attempt) injection probability
@@ -44,9 +66,7 @@ struct ChaosPolicy {
 
   bool enabled() const noexcept { return rate > 0.0; }
 
-  /// Parses "seed:rate[:actions]"; actions defaults to "t". Returns
-  /// nullopt (and fills *error) for malformed specs: non-numeric fields,
-  /// rate outside [0, 1], unknown action letters.
+  /// ChaosSpec::parse with actions in [tpsc], default "t".
   static std::optional<ChaosPolicy> parse(std::string_view spec,
                                           std::string* error = nullptr);
 

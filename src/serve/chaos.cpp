@@ -9,16 +9,11 @@
 
 #include "src/core/env.hpp"
 #include "src/obs/metrics.hpp"
+#include "src/runtime/chaos.hpp"
+#include "src/workload/rng.hpp"
 
 namespace agingsim::serve {
 namespace {
-
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
 
 // Per-thread operation counter: each connection is driven by a single
 // thread per direction, so hashing (seed, thread-local counter) yields a
@@ -61,45 +56,22 @@ ActiveChaos& active() {
 }  // namespace
 
 ServeChaosConfig ServeChaosConfig::from_env() {
-  ServeChaosConfig cfg;
   const auto spec = env::str_var("AGINGSIM_SERVE_CHAOS");
-  if (!spec || spec->empty()) return cfg;
-
-  const auto warn = [&](const char* why) {
-    std::fprintf(stderr,
-                 "agingsim: ignoring AGINGSIM_SERVE_CHAOS='%s' (%s); chaos"
-                 " disabled\n",
-                 spec->c_str(), why);
-    return ServeChaosConfig{};
-  };
-
-  const std::size_t c1 = spec->find(':');
-  if (c1 == std::string::npos) return warn("want seed:rate[:actions]");
-  const std::size_t c2 = spec->find(':', c1 + 1);
-  const std::string seed_text = spec->substr(0, c1);
-  const std::string rate_text = c2 == std::string::npos
-                                    ? spec->substr(c1 + 1)
-                                    : spec->substr(c1 + 1, c2 - c1 - 1);
-  const std::string actions =
-      c2 == std::string::npos ? "tbs" : spec->substr(c2 + 1);
-
-  const auto seed = env::parse_u64(seed_text);
-  if (!seed) return warn("bad seed");
-  const auto rate = env::parse_double(rate_text);
-  if (!rate || *rate < 0.0 || *rate > 1.0) return warn("rate wants [0, 1]");
-
-  cfg.seed = *seed;
-  cfg.rate = *rate;
-  for (const char a : actions) {
-    switch (a) {
-      case 't': cfg.torn_writes = true; break;
-      case 'b': cfg.byte_reads = true; break;
-      case 's': cfg.stalls = true; break;
-      case 'd': cfg.disconnects = true; break;
-      default: return warn("actions want a subset of 'tbsd'");
-    }
+  if (!spec) return {};
+  std::string error;
+  const auto parsed = runtime::ChaosSpec::parse(*spec, "tbsd", "tbs", &error);
+  if (!parsed.has_value()) {
+    std::fprintf(stderr, "agingsim: ignoring AGINGSIM_SERVE_CHAOS: %s; chaos"
+                 " disabled\n", error.c_str());
+    return {};
   }
-  if (actions.empty()) return warn("empty actions");
+  ServeChaosConfig cfg;
+  cfg.seed = parsed->seed;
+  cfg.rate = parsed->rate;
+  cfg.torn_writes = parsed->has('t');
+  cfg.byte_reads = parsed->has('b');
+  cfg.stalls = parsed->has('s');
+  cfg.disconnects = parsed->has('d');
   return cfg;
 }
 

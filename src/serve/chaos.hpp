@@ -8,7 +8,8 @@
 // peer stalls or vanishes mid-frame. CI runs the whole serve test suite
 // with this layer enabled.
 //
-// Spec: AGINGSIM_SERVE_CHAOS=seed:rate[:actions], actions a subset of
+// Spec: AGINGSIM_SERVE_CHAOS=seed:rate[:actions] — AGINGSIM_CHAOS's grammar
+// (runtime::ChaosSpec, decimal or 0x-hex seed) — with actions a subset of
 //
 //   t  torn writes:   write_frame_fd emits deterministic 1..8-byte chunks
 //   b  byte reads:    every read is clamped to a 1..3-byte request

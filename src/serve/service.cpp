@@ -15,7 +15,7 @@
 #include "src/aging/scenario.hpp"
 #include "src/core/calibration.hpp"
 #include "src/core/vl_multiplier.hpp"
-#include "src/fault/campaign.hpp"
+#include "src/fault/campaign_spec.hpp"
 #include "src/multiplier/multiplier.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
@@ -27,12 +27,6 @@
 
 namespace agingsim::serve {
 namespace {
-
-// The same calibration anchor as bench::tech(): CB16 critical path 1.88 ns.
-const TechLibrary& service_tech() {
-  static const TechLibrary t = calibrated_tech_library(1880.0);
-  return t;
-}
 
 // Stress-extraction parameters of every served aging corner. Fixed rather
 // than client-controlled: they are part of the cache key, and letting each
@@ -51,21 +45,6 @@ struct ServiceMetrics {
 const ServiceMetrics& service_metrics() {
   static const ServiceMetrics m;
   return m;
-}
-
-std::optional<MultiplierArch> parse_arch(const std::string& name) {
-  if (name == "am") return MultiplierArch::kArray;
-  if (name == "cb") return MultiplierArch::kColumnBypass;
-  if (name == "rb") return MultiplierArch::kRowBypass;
-  return std::nullopt;
-}
-
-std::optional<FaultKind> parse_fault_kind(const std::string& name) {
-  if (name == "stuck0") return FaultKind::kStuckAt0;
-  if (name == "stuck1") return FaultKind::kStuckAt1;
-  if (name == "transient") return FaultKind::kTransient;
-  if (name == "delay") return FaultKind::kDelayOutlier;
-  return std::nullopt;
 }
 
 HandlerResult ok_result(const std::string& result_json) {
@@ -114,7 +93,7 @@ std::optional<QueryParams> parse_query_params(const ServiceLimits& limits,
   };
   QueryParams q;
   q.arch_name = params.str_or("arch", "cb");
-  const auto arch = parse_arch(q.arch_name);
+  const auto arch = multiplier_arch_from_name(q.arch_name);
   if (!arch.has_value()) return reject("arch must be am|cb|rb");
   q.arch = *arch;
   const std::int64_t width = params.i64_or("width", 16);
@@ -156,38 +135,26 @@ std::uint64_t query_corner_digest(const QueryParams& q) {
   return digest.value();
 }
 
-void emit_run_stats(JsonWriter& json, const RunStats& s) {
-  json.key("period_ps").value(s.period_ps);
-  json.key("ops").value(s.ops);
-  json.key("one_cycle_ratio").value(s.one_cycle_ratio);
-  json.key("errors").value(s.errors);
-  json.key("errors_per_10k_ops").value(s.errors_per_10k_ops);
-  json.key("avg_cycles").value(s.avg_cycles);
-  json.key("avg_latency_ps").value(s.avg_latency_ps);
-  json.key("avg_power_mw").value(s.avg_power_mw);
-  json.key("edp_mw_ns2").value(s.edp_mw_ns2);
-}
-
-void emit_campaign_stats(JsonWriter& json, const FaultCampaignStats& s) {
-  json.key("trials").value(s.trials);
-  json.key("trials_quarantined").value(s.trials_quarantined);
-  json.key("ops").value(s.ops);
-  json.key("faults_injected").value(s.faults_injected);
-  json.key("detected_violations").value(s.detected_violations);
-  json.key("escaped_violations").value(s.escaped_violations);
-  json.key("uncovered_violations").value(s.uncovered_violations);
-  json.key("detection_coverage").value(s.detection_coverage);
-  json.key("sdc_ops").value(s.sdc_ops);
-  json.key("sdc_per_10k_ops").value(s.sdc_per_10k_ops);
-  json.key("masked_faults").value(s.masked_faults);
-  json.key("trials_with_sdc").value(s.trials_with_sdc);
-  json.key("storm_engagements").value(s.storm_engagements);
-  json.key("storm_recoveries").value(s.storm_recoveries);
-  json.key("avg_cycles_baseline").value(s.avg_cycles_baseline);
-  json.key("avg_cycles_faulty").value(s.avg_cycles_faulty);
-  json.key("throughput_degradation").value(s.throughput_degradation);
-  json.key("baseline_errors_per_10k_ops")
-      .value(s.baseline_errors_per_10k_ops);
+/// Fills `spec` from the campaign params: each spec member present must be
+/// a JSON string (arch, kind) or number (the rest), whose text the spec
+/// parses and range-checks. Returns the bad_request message, if any.
+std::optional<std::string> apply_spec_params(const JsonValue& params,
+                                             FaultCampaignSpec& spec) {
+  for (const std::string_view key : FaultCampaignSpec::kKeys) {
+    const JsonValue* member = params.find(key);
+    if (member == nullptr) continue;
+    const bool name = FaultCampaignSpec::is_name_key(key);
+    if (name ? !member->is_string() : !member->is_number()) {
+      return std::string(key) +
+             (name ? " must be a string" : " must be a number");
+    }
+    std::string error;
+    if (!spec.set(key, name ? member->as_string() : member->number_token(),
+                  &error)) {
+      return error;
+    }
+  }
+  return std::nullopt;
 }
 
 /// Two concurrent campaigns with identical parameters map to the same
@@ -223,7 +190,9 @@ std::string digest_hex(std::uint64_t digest) {
 }  // namespace
 
 Service::Service(ServiceConfig config, AgedStateCache* cache)
-    : config_(std::move(config)), cache_(cache), tech_(service_tech()) {}
+    : config_(std::move(config)),
+      cache_(cache),
+      tech_(paper_tech_library()) {}
 
 std::optional<std::uint64_t> Service::query_cache_key(
     const JsonValue& params) const {
@@ -309,7 +278,7 @@ HandlerResult Service::handle_query(const JsonValue& params,
   json.key("corner_digest").value(digest_hex(key));
   json.key("cache_hit").value(cache_hit);
   json.key("stats").begin_object();
-  emit_run_stats(json, stats);
+  write_stats_json(json, stats);
   json.end_object();
   json.end_object();
   return ok_result(json.str());
@@ -322,35 +291,18 @@ HandlerResult Service::handle_campaign(const Request& request,
   service_metrics().campaigns.add();
   const auto reject = [](const std::string& m) { return bad_request(m); };
 
-  const std::string arch_name = params.str_or("arch", "cb");
-  const auto arch = parse_arch(arch_name);
-  if (!arch.has_value()) return reject("arch must be am|cb|rb");
-  const std::int64_t width = params.i64_or("width", 16);
-  if (width < 2 || width > 32) return reject("width must be in [2, 32]");
-  const std::int64_t trials = params.i64_or("trials", 32);
-  if (trials < 1 || trials > config_.limits.max_trials) {
+  FaultCampaignSpec spec;
+  if (const auto error = apply_spec_params(params, spec)) return reject(*error);
+  // Daemon-only ceilings: a served request must not occupy a worker for
+  // hours (ServiceLimits).
+  if (spec.trials > config_.limits.max_trials) {
     return reject("trials must be in [1, " +
                   std::to_string(config_.limits.max_trials) + "]");
   }
-  const std::int64_t ops = params.i64_or("ops", 1000);
-  if (ops < 1 || static_cast<std::size_t>(ops) > config_.limits.max_ops) {
+  if (spec.ops > config_.limits.max_ops) {
     return reject("ops must be in [1, " +
                   std::to_string(config_.limits.max_ops) + "]");
   }
-  const std::int64_t sites = params.i64_or("sites", 2);
-  if (sites < 1 || sites > 64) return reject("sites must be in [1, 64]");
-  const std::string kind_name = params.str_or("kind", "delay");
-  const auto kind = parse_fault_kind(kind_name);
-  if (!kind.has_value()) {
-    return reject("kind must be stuck0|stuck1|transient|delay");
-  }
-  const double delay_factor = params.num_or("delay_factor", 8.0);
-  if (!(delay_factor > 0.0)) return reject("delay_factor must be > 0");
-  const double period_frac = params.num_or("period_frac", 0.58);
-  if (!(period_frac > 0.0) || period_frac > 4.0) {
-    return reject("period_frac must be in (0, 4]");
-  }
-  const std::uint64_t seed = params.u64_or("seed", 0xFA17);
   const bool checkpoint =
       params.bool_or("checkpoint", !config_.checkpoint_root.empty());
 
@@ -370,40 +322,20 @@ HandlerResult Service::handle_campaign(const Request& request,
       return reject("resume_cursor needs a string 'digest'");
     }
     const std::int64_t index = rc->i64_or("unit_index", -1);
-    if (index < 0 || index > trials + 1) {
+    if (index < 0 || index > spec.trials + 1) {
       return reject("resume_cursor.unit_index must be in [0, trials + 1]");
     }
     cursor_units = static_cast<std::uint64_t>(index);
   }
 
-  const MultiplierNetlist mult =
-      build_multiplier(*arch, static_cast<int>(width));
-  const double crit = critical_path_ps(mult, tech_);
-  Rng rng(kWorkloadSeed);
-  const auto patterns =
-      uniform_patterns(rng, static_cast<int>(width),
-                       static_cast<std::size_t>(ops));
-
-  VlSystemConfig cfg;
-  cfg.period_ps = period_frac * crit;
-  cfg.ahl.width = static_cast<int>(width);
-  cfg.ahl.skip = std::min(7, static_cast<int>(width) - 1);
-  cfg.razor.metastability_window_ps = 5.0;
-  cfg.razor.edge_escape_prob = 0.5;
-
-  FaultCampaignConfig cc;
-  cc.kind = *kind;
-  cc.trials = static_cast<int>(trials);
-  cc.sites_per_trial = static_cast<int>(sites);
-  cc.delay_factor = delay_factor;
-  cc.seed = seed;
-  const FaultCampaign campaign(mult, tech_, cfg, cc);
+  const FaultCampaignSetup setup(spec, tech_);
+  const FaultCampaign& campaign = setup.campaign;
 
   runtime::RunnerConfig runner_config = config_.runner;
   runner_config.stop = &cancel;
   std::optional<runtime::CheckpointStore> store;
   std::unique_lock<std::mutex> digest_lock;  // held through campaign.run
-  const std::uint64_t digest = campaign.config_digest(patterns);
+  const std::uint64_t digest = campaign.config_digest(setup.patterns);
   if (!cursor_digest.empty() && cursor_digest != digest_hex(digest)) {
     return reject("resume_cursor.digest '" + cursor_digest +
                   "' does not match this campaign (" + digest_hex(digest) +
@@ -450,7 +382,7 @@ HandlerResult Service::handle_campaign(const Request& request,
       }
       JsonWriter pj;
       pj.begin_object();
-      emit_campaign_stats(pj, partial);
+      write_stats_json(pj, partial);
       pj.end_object();
       if (!emit(stream_frame(request.id, units_done, units_done, units_total,
                              pj.str()))) {
@@ -460,7 +392,7 @@ HandlerResult Service::handle_campaign(const Request& request,
   }
   FaultCampaignStats stats;
   try {
-    stats = campaign.run(patterns, run_options);
+    stats = campaign.run(setup.patterns, run_options);
   } catch (const runtime::RunError& e) {
     if (cancel.cancelled() || report.interrupted()) {
       return cancelled_result(cancel, "campaign");
@@ -476,24 +408,23 @@ HandlerResult Service::handle_campaign(const Request& request,
   // content goes here — computed/restored splits live in the metrics.
   JsonWriter json;
   json.begin_object();
-  json.key("arch").value(arch_name);
-  json.key("width").value(static_cast<std::int64_t>(width));
-  json.key("kind").value(kind_name);
-  json.key("configured_trials").value(static_cast<std::int64_t>(trials));
-  json.key("sites_per_trial").value(static_cast<std::int64_t>(sites));
-  json.key("seed").value(seed);
-  json.key("period_ps").value(cfg.period_ps);
+  json.key("arch").value(spec.arch);
+  json.key("width").value(spec.width);
+  json.key("kind").value(spec.kind_name());
+  json.key("configured_trials").value(spec.trials);
+  json.key("sites_per_trial").value(spec.sites);
+  json.key("seed").value(spec.seed);
+  json.key("period_ps").value(setup.system.period_ps);
   json.key("campaign_digest").value(digest_hex(digest));
   // Always present (streamed or not): where a future request would resume.
   // unit_index = trials + 1 marks a finished campaign — re-attaching with
   // it streams nothing and returns this same final response.
   json.key("resume_cursor").begin_object();
   json.key("digest").value(digest_hex(digest));
-  json.key("unit_index")
-      .value(static_cast<std::int64_t>(trials + 1));
+  json.key("unit_index").value(spec.trials + 1);
   json.end_object();
   json.key("stats").begin_object();
-  emit_campaign_stats(json, stats);
+  write_stats_json(json, stats);
   json.end_object();
   json.end_object();
   return ok_result(json.str());

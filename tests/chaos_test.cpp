@@ -42,6 +42,21 @@ TEST(ChaosPolicyTest, RejectsMalformedSpecsWithDiagnostic) {
   }
 }
 
+TEST(ChaosSpecTest, OneGrammarWithPerLayerLettersAndDefaults) {
+  // The socket layer's letters and default, through the same parser.
+  const auto serve = ChaosSpec::parse("0x2A:0.5", "tbsd", "tbs");
+  ASSERT_TRUE(serve.has_value());
+  EXPECT_EQ(serve->seed, 42u);
+  EXPECT_EQ(serve->actions, "tbs");
+  EXPECT_TRUE(serve->has('b'));
+  EXPECT_FALSE(serve->has('d'));
+  // 'b' is a socket action: the runtime layer rejects it, naming its set.
+  std::string error;
+  EXPECT_FALSE(ChaosSpec::parse("1:0.5:b", "tpsc", "t", &error).has_value());
+  EXPECT_NE(error.find("[tpsc]"), std::string::npos) << error;
+  EXPECT_TRUE(ChaosSpec::parse("1:0.5:b", "tbsd", "tbs").has_value());
+}
+
 TEST(ChaosPolicyTest, ZeroRateIsDisabledAndDecidesNone) {
   const auto p = ChaosPolicy::parse("9:0");
   ASSERT_TRUE(p.has_value());

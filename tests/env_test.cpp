@@ -111,29 +111,6 @@ TEST(EnvVarTest, StrVarTreatsEmptyAsUnset) {
   EXPECT_EQ(env::str_var("AGINGSIM_ENV_TEST_STR"), "/tmp/ckpt");
 }
 
-TEST(EnvVarTest, ChoiceVarMatchesExactlyOrFallsBack) {
-  static constexpr const char* kChoices[] = {"dense", "sparse", "batch"};
-  {
-    ScopedEnv scoped("AGINGSIM_ENV_TEST_CHOICE", "batch");
-    EXPECT_EQ(env::choice_var("AGINGSIM_ENV_TEST_CHOICE", kChoices), 2u);
-  }
-  {
-    // Wrong case is a reject, not a match: the caller's default must win
-    // (with a once-only warning listing the accepted spellings).
-    testing::internal::CaptureStderr();
-    ScopedEnv scoped("AGINGSIM_ENV_TEST_CHOICE2", "Batch");
-    EXPECT_FALSE(
-        env::choice_var("AGINGSIM_ENV_TEST_CHOICE2", kChoices).has_value());
-    const std::string err = testing::internal::GetCapturedStderr();
-    EXPECT_NE(err.find("sparse"), std::string::npos) << err;
-  }
-  {
-    ScopedEnv scoped("AGINGSIM_ENV_TEST_CHOICE3", "");
-    EXPECT_FALSE(
-        env::choice_var("AGINGSIM_ENV_TEST_CHOICE3", kChoices).has_value());
-  }
-}
-
 TEST(EnvVarTest, DoubleOrParsesStrictlyAndEnforcesMinimum) {
   {
     ScopedEnv scoped("AGINGSIM_ENV_TEST_DBL", "2.5");

@@ -116,6 +116,20 @@ TEST(ServeChaos, FromEnvParsesFullSpec) {
   EXPECT_TRUE(cfg.disconnects);
 }
 
+TEST(ServeChaos, FromEnvAcceptsHexSeedLikeAgingsimChaos) {
+  // One grammar for both chaos layers (runtime::ChaosSpec): a 0x seed is
+  // accepted here exactly as AGINGSIM_CHAOS accepts it.
+  const EnvVar env("AGINGSIM_SERVE_CHAOS", "0x10:0.25:tb");
+  const ServeChaosConfig cfg = ServeChaosConfig::from_env();
+  EXPECT_TRUE(cfg.enabled());
+  EXPECT_EQ(cfg.seed, 0x10u);
+  EXPECT_DOUBLE_EQ(cfg.rate, 0.25);
+  EXPECT_TRUE(cfg.torn_writes);
+  EXPECT_TRUE(cfg.byte_reads);
+  EXPECT_FALSE(cfg.stalls);
+  EXPECT_FALSE(cfg.disconnects);
+}
+
 TEST(ServeChaos, FromEnvDefaultsToLossFreeActions) {
   const EnvVar env("AGINGSIM_SERVE_CHAOS", "11:0.5");
   const ServeChaosConfig cfg = ServeChaosConfig::from_env();

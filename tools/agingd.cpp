@@ -29,6 +29,7 @@
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace.hpp"
 #include "src/serve/server.hpp"
+#include "tools/flags.hpp"
 
 namespace {
 
@@ -119,109 +120,44 @@ std::optional<Options> parse_args(int argc, char** argv, int& exit_code) {
   opt.server.max_inflight_per_conn = static_cast<std::uint32_t>(
       env::long_or("AGINGSIM_SERVE_MAX_INFLIGHT", 32, 0, 1 << 20));
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto need_value = [&](const char* flag) -> std::optional<std::string> {
-      if (i + 1 >= argc) {
-        std::cerr << "agingd: " << flag << " needs a value\n";
-        return std::nullopt;
-      }
-      return std::string(argv[++i]);
-    };
-    const auto need_long = [&](const char* flag, long min_v,
-                               long& out) -> bool {
-      const auto v = need_value(flag);
-      if (!v) return false;
-      const auto parsed = env::parse_long(*v, 0);
-      if (!parsed || *parsed < min_v) {
-        std::cerr << "agingd: " << flag << " wants an integer >= " << min_v
-                  << ", got '" << *v << "'\n";
-        return false;
-      }
-      out = *parsed;
-      return true;
-    };
-    long parsed = 0;
-    if (arg == "--help" || arg == "-h") {
-      print_usage(std::cout);
-      exit_code = 0;
-      return std::nullopt;
-    }
-    if (arg == "--quiet") {
-      opt.quiet = true;
-    } else if (arg == "--socket") {
-      const auto v = need_value("--socket");
-      if (!v) { exit_code = 2; return std::nullopt; }
-      opt.server.socket_path = *v;
-    } else if (arg == "--workers") {
-      if (!need_long("--workers", 1, parsed)) { exit_code = 2; return std::nullopt; }
-      opt.server.workers = static_cast<int>(parsed);
-    } else if (arg == "--queue") {
-      if (!need_long("--queue", 1, parsed)) { exit_code = 2; return std::nullopt; }
-      opt.server.admission.capacity = static_cast<std::size_t>(parsed);
-    } else if (arg == "--deadline-ms") {
-      if (!need_long("--deadline-ms", 0, parsed)) { exit_code = 2; return std::nullopt; }
-      opt.server.default_deadline_ms = parsed;
-    } else if (arg == "--drain-grace-ms") {
-      if (!need_long("--drain-grace-ms", 0, parsed)) { exit_code = 2; return std::nullopt; }
-      opt.server.drain_grace_ms = parsed;
-    } else if (arg == "--cache-mb") {
-      if (!need_long("--cache-mb", 0, parsed)) { exit_code = 2; return std::nullopt; }
-      opt.server.cache_budget_bytes = static_cast<std::size_t>(parsed) << 20;
-    } else if (arg == "--quota-rate") {
-      const auto v = need_value("--quota-rate");
-      if (!v || !env::parse_double(*v).has_value() ||
-          *env::parse_double(*v) < 0.0) {
-        std::cerr << "agingd: --quota-rate wants a number >= 0\n";
-        exit_code = 2;
-        return std::nullopt;
-      }
-      opt.server.admission.fairness.quota_rate_per_s = *env::parse_double(*v);
-    } else if (arg == "--quota-burst") {
-      const auto v = need_value("--quota-burst");
-      if (!v || !env::parse_double(*v).has_value() ||
-          *env::parse_double(*v) < 1.0) {
-        std::cerr << "agingd: --quota-burst wants a number >= 1\n";
-        exit_code = 2;
-        return std::nullopt;
-      }
-      opt.server.admission.fairness.quota_burst = *env::parse_double(*v);
-    } else if (arg == "--read-deadline-ms") {
-      if (!need_long("--read-deadline-ms", 0, parsed)) { exit_code = 2; return std::nullopt; }
-      opt.server.read_deadline_ms = parsed;
-    } else if (arg == "--idle-timeout-ms") {
-      if (!need_long("--idle-timeout-ms", 0, parsed)) { exit_code = 2; return std::nullopt; }
-      opt.server.idle_timeout_ms = parsed;
-    } else if (arg == "--max-inflight") {
-      if (!need_long("--max-inflight", 0, parsed)) { exit_code = 2; return std::nullopt; }
-      opt.server.max_inflight_per_conn = static_cast<std::uint32_t>(parsed);
-    } else if (arg == "--checkpoint-dir") {
-      const auto v = need_value("--checkpoint-dir");
-      if (!v) { exit_code = 2; return std::nullopt; }
-      opt.server.service.checkpoint_root = *v;
-    } else if (arg == "--batch-guard-ps") {
-      const auto v = need_value("--batch-guard-ps");
-      if (!v || !env::parse_double(*v).has_value() ||
-          *env::parse_double(*v) < 0.0) {
-        std::cerr << "agingd: --batch-guard-ps wants a number >= 0\n";
-        exit_code = 2;
-        return std::nullopt;
-      }
-      ::setenv("AGINGSIM_BATCH_GUARD_PS", v->c_str(), 1);
-    } else if (arg == "--trace") {
-      const auto v = need_value("--trace");
-      if (!v) { exit_code = 2; return std::nullopt; }
-      opt.trace_path = *v;
-    } else if (arg == "--metrics") {
-      const auto v = need_value("--metrics");
-      if (!v) { exit_code = 2; return std::nullopt; }
-      opt.metrics_path = *v;
-    } else {
-      std::cerr << "agingd: unknown option '" << arg << "'\n";
-      print_usage(std::cerr);
-      exit_code = 2;
-      return std::nullopt;
-    }
+  double batch_guard_ps = 0.0;
+  serve::ServerConfig& server = opt.server;
+  cli::Flags flags;
+  flags.switches = {{"--quiet", [&] { opt.quiet = true; }}};
+  flags.values = {
+      {"--socket", cli::text(server.socket_path)},
+      {"--workers", cli::integer(1, server.workers)},
+      {"--queue", cli::integer(1, server.admission.capacity)},
+      {"--deadline-ms", cli::integer(0, server.default_deadline_ms)},
+      {"--drain-grace-ms", cli::integer(0, server.drain_grace_ms)},
+      {"--cache-mb",
+       [&](const std::string& v) {
+         std::size_t mb = 0;
+         std::string error = cli::integer(0, mb)(v);
+         if (error.empty()) server.cache_budget_bytes = mb << 20;
+         return error;
+       }},
+      {"--quota-rate",
+       cli::number(0.0, server.admission.fairness.quota_rate_per_s)},
+      {"--quota-burst",
+       cli::number(1.0, server.admission.fairness.quota_burst)},
+      {"--read-deadline-ms", cli::integer(0, server.read_deadline_ms)},
+      {"--idle-timeout-ms", cli::integer(0, server.idle_timeout_ms)},
+      {"--max-inflight", cli::integer(0, server.max_inflight_per_conn)},
+      {"--checkpoint-dir", cli::text(server.service.checkpoint_root)},
+      {"--batch-guard-ps",
+       [&](const std::string& v) {
+         std::string error = cli::number(0.0, batch_guard_ps)(v);
+         if (error.empty()) ::setenv("AGINGSIM_BATCH_GUARD_PS", v.c_str(), 1);
+         return error;
+       }},
+      {"--trace", cli::text(opt.trace_path)},
+      {"--metrics", cli::text(opt.metrics_path)},
+  };
+  if (const auto code =
+          cli::parse_flags("agingd", argc, argv, flags, print_usage)) {
+    exit_code = *code;
+    return std::nullopt;
   }
   return opt;
 }

@@ -44,6 +44,8 @@
 #include "src/report/json.hpp"
 #include "src/serve/json.hpp"
 #include "src/serve/protocol.hpp"
+#include "src/workload/rng.hpp"
+#include "tools/flags.hpp"
 
 namespace {
 
@@ -150,118 +152,37 @@ void print_usage(std::ostream& os) {
 
 std::optional<Options> parse_args(int argc, char** argv, int& exit_code) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto need_value = [&](const char* flag) -> std::optional<std::string> {
-      if (i + 1 >= argc) {
-        std::cerr << "agingload: " << flag << " needs a value\n";
-        return std::nullopt;
-      }
-      return std::string(argv[++i]);
-    };
-    const auto need_double = [&](const char* flag, double min_v,
-                                 double& out) -> bool {
-      const auto v = need_value(flag);
-      if (!v) return false;
-      char* end = nullptr;
-      const double parsed = std::strtod(v->c_str(), &end);
-      if (end == v->c_str() || *end != '\0' || !(parsed >= min_v)) {
-        std::cerr << "agingload: " << flag << " wants a number >= " << min_v
-                  << ", got '" << *v << "'\n";
-        return false;
-      }
-      out = parsed;
-      return true;
-    };
-    const auto need_long = [&](const char* flag, long min_v,
-                               long& out) -> bool {
-      const auto v = need_value(flag);
-      if (!v) return false;
-      char* end = nullptr;
-      const long parsed = std::strtol(v->c_str(), &end, 0);
-      if (end == v->c_str() || *end != '\0' || parsed < min_v) {
-        std::cerr << "agingload: " << flag << " wants an integer >= " << min_v
-                  << ", got '" << *v << "'\n";
-        return false;
-      }
-      out = parsed;
-      return true;
-    };
-    long parsed_long = 0;
-    if (arg == "--help" || arg == "-h") {
-      print_usage(std::cout);
-      exit_code = 0;
-      return std::nullopt;
-    }
-    if (arg == "--socket") {
-      const auto v = need_value("--socket");
-      if (!v) { exit_code = 2; return std::nullopt; }
-      opt.socket_path = *v;
-    } else if (arg == "--mode") {
-      const auto v = need_value("--mode");
-      if (!v || (*v != "closed" && *v != "open")) {
-        std::cerr << "agingload: --mode wants closed|open\n";
-        exit_code = 2;
-        return std::nullopt;
-      }
-      opt.mode = *v;
-    } else if (arg == "--method") {
-      const auto v = need_value("--method");
-      if (!v || (*v != "work" && *v != "query" && *v != "campaign")) {
-        std::cerr << "agingload: --method wants work|query|campaign\n";
-        exit_code = 2;
-        return std::nullopt;
-      }
-      opt.method = *v;
-    } else if (arg == "--rate") {
-      if (!need_double("--rate", 0.001, opt.rate)) { exit_code = 2; return std::nullopt; }
-    } else if (arg == "--conns") {
-      if (!need_long("--conns", 1, parsed_long)) { exit_code = 2; return std::nullopt; }
-      opt.conns = static_cast<int>(parsed_long);
-    } else if (arg == "--duration-s") {
-      if (!need_double("--duration-s", 0.1, opt.duration_s)) { exit_code = 2; return std::nullopt; }
-    } else if (arg == "--warmup-s") {
-      if (!need_double("--warmup-s", 0.0, opt.warmup_s)) { exit_code = 2; return std::nullopt; }
-    } else if (arg == "--spin-us") {
-      if (!need_long("--spin-us", 0, opt.spin_us)) { exit_code = 2; return std::nullopt; }
-    } else if (arg == "--width") {
-      if (!need_long("--width", 2, parsed_long) || parsed_long > 32) {
-        exit_code = 2;
-        return std::nullopt;
-      }
-      opt.width = static_cast<int>(parsed_long);
-    } else if (arg == "--years") {
-      if (!need_double("--years", 0.0, opt.years)) { exit_code = 2; return std::nullopt; }
-    } else if (arg == "--deadline-ms") {
-      if (!need_long("--deadline-ms", 0, opt.deadline_ms)) { exit_code = 2; return std::nullopt; }
-    } else if (arg == "--slo-ms") {
-      if (!need_double("--slo-ms", 0.0, opt.slo_ms)) { exit_code = 2; return std::nullopt; }
-    } else if (arg == "--slo-target") {
-      if (!need_double("--slo-target", 0.0, opt.slo_target)) { exit_code = 2; return std::nullopt; }
-    } else if (arg == "--client-id") {
-      const auto v = need_value("--client-id");
-      if (!v || !serve::valid_client_id(*v)) {
-        std::cerr << "agingload: --client-id wants 1..64 chars of"
-                     " [A-Za-z0-9._-]\n";
-        exit_code = 2;
-        return std::nullopt;
-      }
-      opt.client_id = *v;
-    } else if (arg == "--no-backoff") {
-      opt.backoff = false;
-    } else if (arg == "--seed") {
-      if (!need_long("--seed", 0, parsed_long)) { exit_code = 2; return std::nullopt; }
-      opt.seed = static_cast<std::uint64_t>(parsed_long);
-    } else if (arg == "--json") {
-      const auto v = need_value("--json");
-      if (!v) { exit_code = 2; return std::nullopt; }
-      opt.json_path = *v;
-    } else {
-      std::cerr << "agingload: unknown option '" << arg << "'\n";
-      print_usage(std::cerr);
-      exit_code = 2;
-      return std::nullopt;
-    }
+  cli::Flags flags;
+  flags.switches = {{"--no-backoff", [&] { opt.backoff = false; }}};
+  flags.values = {
+      {"--socket", cli::text(opt.socket_path)},
+      {"--mode", cli::choice("closed|open", opt.mode)},
+      {"--method", cli::choice("work|query|campaign", opt.method)},
+      {"--rate", cli::number(0.001, opt.rate)},
+      {"--conns", cli::integer(1, opt.conns)},
+      {"--duration-s", cli::number(0.1, opt.duration_s)},
+      {"--warmup-s", cli::number(0.0, opt.warmup_s)},
+      {"--spin-us", cli::integer(0, opt.spin_us)},
+      {"--width", cli::integer(2, opt.width, 32)},
+      {"--years", cli::number(0.0, opt.years)},
+      {"--deadline-ms", cli::integer(0, opt.deadline_ms)},
+      {"--slo-ms", cli::number(0.0, opt.slo_ms)},
+      {"--slo-target", cli::number(0.0, opt.slo_target)},
+      {"--client-id",
+       [&](const std::string& v) -> std::string {
+         if (!serve::valid_client_id(v)) {
+           return "wants 1..64 chars of [A-Za-z0-9._-]";
+         }
+         opt.client_id = v;
+         return {};
+       }},
+      {"--seed", cli::integer(0, opt.seed)},
+      {"--json", cli::text(opt.json_path)},
+  };
+  if (const auto code =
+          cli::parse_flags("agingload", argc, argv, flags, print_usage)) {
+    exit_code = *code;
+    return std::nullopt;
   }
   return opt;
 }
@@ -306,16 +227,6 @@ std::string build_request(const Options& opt, std::uint64_t id) {
   json.end_object();
   json.end_object();
   return json.str();
-}
-
-/// splitmix64 — the jitter PRNG. Deterministic per (seed, draw index), so
-/// a fairness drill replays its exact backoff schedule.
-std::uint64_t splitmix64(std::uint64_t& state) {
-  state += 0x9E3779B97F4A7C15ull;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
 }
 
 /// Sends one request and classifies the response into the tally. Returns
@@ -414,6 +325,9 @@ int run_load(const Options& opt) {
       const auto interval = std::chrono::duration_cast<Clock::duration>(
           std::chrono::duration<double>(1.0 / per_conn_rate));
       Clock::time_point next = Clock::now();
+      // Jitter stream: splitmix64 over rng, rng + gamma, ... Deterministic
+      // per (seed, draw index), so a fairness drill replays its exact
+      // backoff schedule.
       std::uint64_t rng =
           opt.seed ^ (static_cast<std::uint64_t>(c) * 0xD1B54A32D192ED03ull);
       int consecutive_rejections = 0;
@@ -468,6 +382,7 @@ int run_load(const Options& opt) {
         const double jitter =
             0.75 + 0.5 * (static_cast<double>(splitmix64(rng) >> 11) *
                           0x1.0p-53);
+        rng += 0x9E3779B97F4A7C15ull;
         double sleep_ms = std::min(kBackoffCapMs, exp_ms * jitter);
         // Never sleep past the end of the run.
         const double left_ms = std::chrono::duration<double, std::milli>(

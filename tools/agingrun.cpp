@@ -26,6 +26,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -39,7 +40,7 @@
 
 #include "bench/common.hpp"
 #include "src/core/env.hpp"
-#include "src/fault/campaign.hpp"
+#include "src/fault/campaign_spec.hpp"
 #include "src/mc/mc_campaign.hpp"
 #include "src/mc/mc_report.hpp"
 #include "src/obs/metrics.hpp"
@@ -49,6 +50,7 @@
 #include "src/runtime/checkpoint.hpp"
 #include "src/runtime/robust_runner.hpp"
 #include "src/runtime/serial.hpp"
+#include "tools/flags.hpp"
 
 namespace {
 
@@ -107,15 +109,11 @@ class SignalGuard {
 
 struct Options {
   std::string campaign = "fault";  // fault | sweep | mc
-  int width = 16;
-  int trials = 48;
-  std::size_t ops = 1500;
+  // Fault-campaign parameters (docs/FAULTS.md); the sweep builds from them
+  // too, and mc reads width, trials, ops, seed and period_frac.
+  FaultCampaignSpec spec;
   bool ops_set = false;  // mc defaults ops to 256 unless given
-  int sites_per_trial = 2;
-  FaultKind kind = FaultKind::kDelayOutlier;
-  double delay_factor = 8.0;
-  std::uint64_t seed = 0xFA17;
-  double period_frac = 0.58;  // of the fresh critical path
+  std::string arch;      // as given; empty = cb (fault, sweep), all (mc)
   int sweep_points = 32;
   std::string checkpoint_dir;
   bool resume = false;
@@ -123,9 +121,7 @@ struct Options {
   int max_retries = 3;
   long backoff_ms = 25;
   std::string chaos_spec;  // empty = AGINGSIM_CHAOS / none
-  // Monte-Carlo campaign shape (--campaign mc); trials/ops/seed above are
-  // shared with the fault campaign.
-  std::string arch = "all";  // am | cb | rb | all
+  // Monte-Carlo campaign shape (--campaign mc).
   int block = 32;
   std::string years = "0,7";
   int strata = 16;
@@ -145,17 +141,20 @@ void print_usage(std::ostream& os) {
         "  --campaign NAME    fault (trial campaign), sweep (period sweep)\n"
         "                     or mc (Monte-Carlo variation + stochastic\n"
         "                     aging, docs/MODEL.md) [fault]\n"
+        "campaign parameters (agingd takes the same as JSON keys; table in\n"
+        "docs/FAULTS.md, \"Campaign parameters\"):\n"
+        "  --arch NAME        am|cb|rb [cb]; mc also takes all [all]\n"
         "  --width N          multiplier width in [2,32] [16]\n"
         "  --trials N         trials (fault) / dies per arch (mc) [48]\n"
         "  --ops N            operations per trial [1500; mc: 256]\n"
-        "  --sites N          fault sites per trial [2]\n"
+        "  --sites N          fault sites per trial in [1,64] [2]\n"
         "  --kind NAME        stuck0|stuck1|transient|delay [delay]\n"
-        "  --delay-factor F   delay multiplier for kind=delay [8.0]\n"
-        "  --seed S           campaign seed [0xFA17]\n"
+        "  --delay-factor F   delay multiplier for kind=delay, > 0 [8.0]\n"
+        "  --seed S           campaign seed, decimal or 0x-hex [0xFA17]\n"
         "  --period-frac F    cycle period as a fraction of the fresh\n"
-        "                     critical path [0.58]\n"
+        "                     critical path, in (0,4] [0.58]\n"
+        "other options:\n"
         "  --sweep-points N   points for --campaign sweep [32]\n"
-        "  --arch NAME        mc: am|cb|rb|all [all]\n"
         "  --block N          mc: trials per checkpoint unit [32]\n"
         "  --years LIST       mc: comma-separated evaluation years [0,7]\n"
         "  --strata N         mc: die-normal strata (variance reduction,\n"
@@ -187,22 +186,14 @@ void print_usage(std::ostream& os) {
         "  --help             this text\n";
 }
 
-std::optional<FaultKind> parse_kind(const std::string& name) {
-  if (name == "stuck0") return FaultKind::kStuckAt0;
-  if (name == "stuck1") return FaultKind::kStuckAt1;
-  if (name == "transient") return FaultKind::kTransient;
-  if (name == "delay") return FaultKind::kDelayOutlier;
-  return std::nullopt;
-}
-
 std::optional<std::vector<MultiplierArch>> parse_arches(
     const std::string& name) {
-  if (name == "am") return std::vector{MultiplierArch::kArray};
-  if (name == "cb") return std::vector{MultiplierArch::kColumnBypass};
-  if (name == "rb") return std::vector{MultiplierArch::kRowBypass};
   if (name == "all") {
     return std::vector{MultiplierArch::kArray, MultiplierArch::kColumnBypass,
                        MultiplierArch::kRowBypass};
+  }
+  if (const auto arch = multiplier_arch_from_name(name)) {
+    return std::vector{*arch};
   }
   return std::nullopt;
 }
@@ -229,217 +220,70 @@ std::optional<std::vector<double>> parse_years(const std::string& spec) {
 
 std::optional<Options> parse_args(int argc, char** argv, int& exit_code) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto need_value = [&](const char* flag) -> std::optional<std::string> {
-      if (i + 1 >= argc) {
-        std::cerr << "agingrun: " << flag << " needs a value\n";
-        return std::nullopt;
-      }
-      return std::string(argv[++i]);
-    };
-    const auto need_long = [&](const char* flag, long min_v,
-                               long& out) -> bool {
-      const auto v = need_value(flag);
-      if (!v) return false;
-      char* end = nullptr;
-      const long parsed = std::strtol(v->c_str(), &end, 0);
-      if (end == v->c_str() || *end != '\0' || parsed < min_v) {
-        std::cerr << "agingrun: " << flag << " wants an integer >= " << min_v
-                  << ", got '" << *v << "'\n";
-        return false;
-      }
-      out = parsed;
-      return true;
-    };
-    long parsed = 0;
-    if (arg == "--help" || arg == "-h") {
-      print_usage(std::cout);
-      exit_code = 0;
-      return std::nullopt;
-    }
-    if (arg == "--resume") {
-      opt.resume = true;
-    } else if (arg == "--quiet") {
-      opt.quiet = true;
-    } else if (arg == "--campaign") {
-      const auto v = need_value("--campaign");
-      if (!v || (*v != "fault" && *v != "sweep" && *v != "mc")) {
-        std::cerr << "agingrun: --campaign wants fault|sweep|mc\n";
-        exit_code = 2;
-        return std::nullopt;
-      }
-      opt.campaign = *v;
-    } else if (arg == "--width") {
-      if (!need_long("--width", 2, parsed) || parsed > 32) {
-        exit_code = 2;
-        return std::nullopt;
-      }
-      opt.width = static_cast<int>(parsed);
-    } else if (arg == "--trials") {
-      if (!need_long("--trials", 1, parsed)) { exit_code = 2; return std::nullopt; }
-      opt.trials = static_cast<int>(parsed);
-    } else if (arg == "--ops") {
-      if (!need_long("--ops", 1, parsed)) { exit_code = 2; return std::nullopt; }
-      opt.ops = static_cast<std::size_t>(parsed);
-      opt.ops_set = true;
-    } else if (arg == "--sites") {
-      if (!need_long("--sites", 1, parsed)) { exit_code = 2; return std::nullopt; }
-      opt.sites_per_trial = static_cast<int>(parsed);
-    } else if (arg == "--kind") {
-      const auto v = need_value("--kind");
-      const auto kind = v ? parse_kind(*v) : std::nullopt;
-      if (!kind) {
-        std::cerr << "agingrun: --kind wants stuck0|stuck1|transient|delay\n";
-        exit_code = 2;
-        return std::nullopt;
-      }
-      opt.kind = *kind;
-    } else if (arg == "--delay-factor") {
-      const auto v = need_value("--delay-factor");
-      if (!v) { exit_code = 2; return std::nullopt; }
-      opt.delay_factor = std::atof(v->c_str());
-      if (!(opt.delay_factor > 0.0)) {
-        std::cerr << "agingrun: --delay-factor must be > 0\n";
-        exit_code = 2;
-        return std::nullopt;
-      }
-    } else if (arg == "--seed") {
-      const auto v = need_value("--seed");
-      if (!v) { exit_code = 2; return std::nullopt; }
-      opt.seed = std::strtoull(v->c_str(), nullptr, 0);
-    } else if (arg == "--period-frac") {
-      const auto v = need_value("--period-frac");
-      if (!v) { exit_code = 2; return std::nullopt; }
-      opt.period_frac = std::atof(v->c_str());
-      if (!(opt.period_frac > 0.0)) {
-        std::cerr << "agingrun: --period-frac must be > 0\n";
-        exit_code = 2;
-        return std::nullopt;
-      }
-    } else if (arg == "--sweep-points") {
-      if (!need_long("--sweep-points", 1, parsed)) { exit_code = 2; return std::nullopt; }
-      opt.sweep_points = static_cast<int>(parsed);
-    } else if (arg == "--arch") {
-      const auto v = need_value("--arch");
-      if (!v || !parse_arches(*v).has_value()) {
-        std::cerr << "agingrun: --arch wants am|cb|rb|all\n";
-        exit_code = 2;
-        return std::nullopt;
-      }
-      opt.arch = *v;
-    } else if (arg == "--block") {
-      if (!need_long("--block", 1, parsed)) { exit_code = 2; return std::nullopt; }
-      opt.block = static_cast<int>(parsed);
-    } else if (arg == "--years") {
-      const auto v = need_value("--years");
-      if (!v || !parse_years(*v).has_value()) {
-        std::cerr << "agingrun: --years wants a comma-separated list of\n"
-                     "non-negative numbers, e.g. 0,3.5,7\n";
-        exit_code = 2;
-        return std::nullopt;
-      }
-      opt.years = *v;
-    } else if (arg == "--strata") {
-      if (!need_long("--strata", 1, parsed)) { exit_code = 2; return std::nullopt; }
-      opt.strata = static_cast<int>(parsed);
-    } else if (arg == "--sigma-random" || arg == "--sigma-grid" ||
-               arg == "--sigma-die" || arg == "--sigma-aging") {
-      const auto v = need_value(arg.c_str());
-      if (!v || !env::parse_double(*v).has_value() ||
-          *env::parse_double(*v) < 0.0) {
-        std::cerr << "agingrun: " << arg << " wants a number >= 0\n";
-        exit_code = 2;
-        return std::nullopt;
-      }
-      const double sigma = *env::parse_double(*v);
-      if (arg == "--sigma-random") opt.sigma_random = sigma;
-      if (arg == "--sigma-grid") opt.sigma_grid = sigma;
-      if (arg == "--sigma-die") opt.sigma_die = sigma;
-      if (arg == "--sigma-aging") opt.sigma_aging = sigma;
-    } else if (arg == "--surface-points") {
-      if (!need_long("--surface-points", 1, parsed)) { exit_code = 2; return std::nullopt; }
-      opt.surface_points = static_cast<int>(parsed);
-    } else if (arg == "--checkpoint-dir") {
-      const auto v = need_value("--checkpoint-dir");
-      if (!v) { exit_code = 2; return std::nullopt; }
-      opt.checkpoint_dir = *v;
-    } else if (arg == "--deadline-ms") {
-      if (!need_long("--deadline-ms", 0, parsed)) { exit_code = 2; return std::nullopt; }
-      opt.deadline_ms = parsed;
-    } else if (arg == "--max-retries") {
-      if (!need_long("--max-retries", 0, parsed)) { exit_code = 2; return std::nullopt; }
-      opt.max_retries = static_cast<int>(parsed);
-    } else if (arg == "--backoff-ms") {
-      if (!need_long("--backoff-ms", 0, parsed)) { exit_code = 2; return std::nullopt; }
-      opt.backoff_ms = parsed;
-    } else if (arg == "--chaos") {
-      const auto v = need_value("--chaos");
-      if (!v) { exit_code = 2; return std::nullopt; }
-      opt.chaos_spec = *v;
-    } else if (arg == "--batch-guard-ps") {
-      const auto v = need_value("--batch-guard-ps");
-      if (!v || !env::parse_double(*v).has_value() ||
-          *env::parse_double(*v) < 0.0) {
-        std::cerr << "agingrun: --batch-guard-ps wants a number >= 0\n";
-        exit_code = 2;
-        return std::nullopt;
-      }
-      ::setenv("AGINGSIM_BATCH_GUARD_PS", v->c_str(), 1);
-    } else if (arg == "--json") {
-      const auto v = need_value("--json");
-      if (!v) { exit_code = 2; return std::nullopt; }
-      opt.json_path = *v;
-    } else if (arg == "--trace") {
-      const auto v = need_value("--trace");
-      if (!v) { exit_code = 2; return std::nullopt; }
-      opt.trace_path = *v;
-    } else if (arg == "--metrics") {
-      const auto v = need_value("--metrics");
-      if (!v) { exit_code = 2; return std::nullopt; }
-      opt.metrics_path = *v;
-    } else {
-      std::cerr << "agingrun: unknown option '" << arg << "'\n";
-      print_usage(std::cerr);
+  double batch_guard_ps = 0.0;
+  cli::Flags flags;
+  flags.switches = {{"--resume", [&] { opt.resume = true; }},
+                    {"--quiet", [&] { opt.quiet = true; }}};
+  flags.values = {
+      {"--campaign", cli::choice("fault|sweep|mc", opt.campaign)},
+      {"--arch", cli::choice("am|cb|rb|all", opt.arch)},
+      {"--years",
+       [&](const std::string& v) -> std::string {
+         if (!parse_years(v)) {
+           return "wants a comma-separated list of non-negative numbers, "
+                  "e.g. 0,3.5,7";
+         }
+         opt.years = v;
+         return {};
+       }},
+      {"--batch-guard-ps",
+       [&](const std::string& v) {
+         std::string error = cli::number(0.0, batch_guard_ps)(v);
+         if (error.empty()) ::setenv("AGINGSIM_BATCH_GUARD_PS", v.c_str(), 1);
+         return error;
+       }},
+      {"--sweep-points", cli::integer(1, opt.sweep_points)},
+      {"--block", cli::integer(1, opt.block)},
+      {"--strata", cli::integer(1, opt.strata)},
+      {"--surface-points", cli::integer(1, opt.surface_points)},
+      {"--deadline-ms", cli::integer(0, opt.deadline_ms)},
+      {"--max-retries", cli::integer(0, opt.max_retries)},
+      {"--backoff-ms", cli::integer(0, opt.backoff_ms)},
+      {"--sigma-random", cli::number(0.0, opt.sigma_random)},
+      {"--sigma-grid", cli::number(0.0, opt.sigma_grid)},
+      {"--sigma-die", cli::number(0.0, opt.sigma_die)},
+      {"--sigma-aging", cli::number(0.0, opt.sigma_aging)},
+      {"--checkpoint-dir", cli::text(opt.checkpoint_dir)},
+      {"--chaos", cli::text(opt.chaos_spec)},
+      {"--json", cli::text(opt.json_path)},
+      {"--trace", cli::text(opt.trace_path)},
+      {"--metrics", cli::text(opt.metrics_path)},
+  };
+  // Campaign-spec parameters: --delay-factor sets "delay_factor", and so
+  // on. --arch stays above: mc widens it to "all".
+  for (const std::string_view key : FaultCampaignSpec::kKeys) {
+    std::string flag = "--" + std::string(key);
+    std::replace(flag.begin(), flag.end(), '_', '-');
+    flags.values.try_emplace(flag, [&opt, key](const std::string& v) {
+      std::string error;
+      if (opt.spec.set(key, v, &error)) opt.ops_set |= key == "ops";
+      return error;
+    });
+  }
+  if (const auto code =
+          cli::parse_flags("agingrun", argc, argv, flags, print_usage)) {
+    exit_code = *code;
+    return std::nullopt;
+  }
+  if (opt.campaign != "mc" && !opt.arch.empty()) {
+    std::string error;
+    if (!opt.spec.set("arch", opt.arch, &error)) {
+      std::cerr << "agingrun: --arch: " << error << " (all is mc-only)\n";
       exit_code = 2;
       return std::nullopt;
     }
   }
   return opt;
-}
-
-void emit_stats(JsonWriter& json, const FaultCampaignStats& s) {
-  json.key("trials").value(s.trials);
-  json.key("trials_quarantined").value(s.trials_quarantined);
-  json.key("ops").value(s.ops);
-  json.key("faults_injected").value(s.faults_injected);
-  json.key("detected_violations").value(s.detected_violations);
-  json.key("escaped_violations").value(s.escaped_violations);
-  json.key("uncovered_violations").value(s.uncovered_violations);
-  json.key("detection_coverage").value(s.detection_coverage);
-  json.key("sdc_ops").value(s.sdc_ops);
-  json.key("sdc_per_10k_ops").value(s.sdc_per_10k_ops);
-  json.key("masked_faults").value(s.masked_faults);
-  json.key("trials_with_sdc").value(s.trials_with_sdc);
-  json.key("storm_engagements").value(s.storm_engagements);
-  json.key("storm_recoveries").value(s.storm_recoveries);
-  json.key("avg_cycles_baseline").value(s.avg_cycles_baseline);
-  json.key("avg_cycles_faulty").value(s.avg_cycles_faulty);
-  json.key("throughput_degradation").value(s.throughput_degradation);
-  json.key("baseline_errors_per_10k_ops")
-      .value(s.baseline_errors_per_10k_ops);
-}
-
-void emit_run_stats(JsonWriter& json, const RunStats& s) {
-  json.key("period_ps").value(s.period_ps);
-  json.key("ops").value(s.ops);
-  json.key("one_cycle_ratio").value(s.one_cycle_ratio);
-  json.key("errors").value(s.errors);
-  json.key("errors_per_10k_ops").value(s.errors_per_10k_ops);
-  json.key("avg_cycles").value(s.avg_cycles);
-  json.key("avg_latency_ps").value(s.avg_latency_ps);
-  json.key("avg_power_mw").value(s.avg_power_mw);
-  json.key("edp_mw_ns2").value(s.edp_mw_ns2);
 }
 
 int write_json(const Options& opt, const std::string& json) {
@@ -495,7 +339,7 @@ int run_tool(const Options& opt) {
   json.key("tool").value("agingrun");
   json.key("schema_version").value(std::int64_t{1});
   json.key("campaign").value(opt.campaign);
-  json.key("width").value(opt.width);
+  json.key("width").value(opt.spec.width);
 
   int exit_code = 0;
   runtime::RunReport report;
@@ -525,19 +369,19 @@ int run_tool(const Options& opt) {
 
   if (opt.campaign == "mc") {
     mc::McCampaignConfig mcfg;
-    mcfg.width = opt.width;
-    mcfg.arches = *parse_arches(opt.arch);
-    mcfg.trials = opt.trials;
+    mcfg.width = opt.spec.width;
+    mcfg.arches = *parse_arches(opt.arch.empty() ? "all" : opt.arch);
+    mcfg.trials = opt.spec.trials;
     mcfg.block = opt.block;
-    mcfg.ops = opt.ops_set ? opt.ops : std::size_t{256};
-    mcfg.seed = opt.seed;
+    mcfg.ops = opt.ops_set ? opt.spec.ops : std::size_t{256};
+    mcfg.seed = opt.spec.seed;
     mcfg.years = *parse_years(opt.years);
     mcfg.variation.sigma_random = opt.sigma_random;
     mcfg.variation.sigma_grid = opt.sigma_grid;
     mcfg.variation.sigma_die = opt.sigma_die;
     mcfg.sigma_aging = opt.sigma_aging;
     mcfg.strata = opt.strata;
-    mcfg.period_frac = opt.period_frac;
+    mcfg.period_frac = opt.spec.period_frac;
     const mc::McCampaign campaign(lib, std::move(mcfg));
     if (!attach_store(campaign.config_digest())) return 3;
     runtime::RobustRunner runner(runner_config);
@@ -557,95 +401,78 @@ int run_tool(const Options& opt) {
     } else {
       json.key("interrupted").value(true);
     }
-  } else if (opt.campaign == "fault") {
-    const MultiplierNetlist mult = build_column_bypass_multiplier(opt.width);
-    const double crit = critical_path_ps(mult, lib);
-    const auto pats = bench::workload(opt.width, opt.ops);
-
-    VlSystemConfig cfg;
-    cfg.period_ps = opt.period_frac * crit;
-    cfg.ahl.width = opt.width;
-    cfg.ahl.skip = 7;
-    cfg.razor.metastability_window_ps = 5.0;
-    cfg.razor.edge_escape_prob = 0.5;
-
-    json.key("critical_path_ps").value(crit);
-    json.key("period_ps").value(cfg.period_ps);
-    json.key("ops").value(static_cast<std::uint64_t>(opt.ops));
-
-    FaultCampaignConfig cc;
-    cc.kind = opt.kind;
-    cc.trials = opt.trials;
-    cc.sites_per_trial = opt.sites_per_trial;
-    cc.delay_factor = opt.delay_factor;
-    cc.seed = opt.seed;
-    const FaultCampaign campaign(mult, lib, cfg, cc);
-    if (!attach_store(campaign.config_digest(pats))) return 3;
-    runtime::RobustRunner runner(runner_config);
-    std::optional<FaultCampaignStats> stats;
-    try {
-      stats = campaign.run(
-          pats, CampaignRunOptions{.runner = &runner, .report = &report});
-    } catch (const runtime::RunError&) {
-      // A signal-interrupted campaign is not an error: completed units are
-      // checkpointed, the JSON says so, and the exit code is 128+signal.
-      if (g_signal == 0) throw;
-    }
-
-    json.key("kind").value(fault_kind_name(cc.kind));
-    json.key("configured_trials").value(cc.trials);
-    json.key("sites_per_trial").value(cc.sites_per_trial);
-    if (cc.kind == FaultKind::kDelayOutlier) {
-      json.key("delay_factor").value(cc.delay_factor);
-    }
-    json.key("seed").value(cc.seed);
-    if (stats.has_value()) {
-      json.key("stats").begin_object();
-      emit_stats(json, *stats);
-      json.end_object();
-    } else {
-      json.key("interrupted").value(true);
-    }
   } else {
-    // Period sweep: demonstrate the sweep_periods wiring under the same
-    // runtime (unit = one sweep point).
-    const MultiplierNetlist mult = build_column_bypass_multiplier(opt.width);
-    const double crit = critical_path_ps(mult, lib);
-    const auto pats = bench::workload(opt.width, opt.ops);
-    json.key("critical_path_ps").value(crit);
-    json.key("period_ps").value(opt.period_frac * crit);
-    json.key("ops").value(static_cast<std::uint64_t>(opt.ops));
-    const auto trace = compute_op_trace(mult, lib, pats);
-    const std::vector<double> periods =
-        bench::linspace(0.45 * crit, 1.05 * crit, opt.sweep_points);
-    runtime::Digest digest;
-    digest.mix(std::string_view("agingrun-sweep/v1"))
-        .mix(opt.width)
-        .mix(static_cast<std::uint64_t>(opt.ops))
-        .mix(opt.period_frac)
-        .mix(opt.sweep_points);
-    if (!attach_store(digest.value())) return 3;
-    runtime::RobustRunner runner(runner_config);
-    const std::vector<RunStats> points =
-        bench::sweep_periods(mult, trace, periods, 7, true, 0.0, nullptr,
-                             &runner, &report);
-
-    json.key("points").begin_array();
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      json.begin_object();
-      if (report.units[i].state == runtime::UnitState::kQuarantined) {
-        json.key("quarantined").value(true);
-        json.key("period_ps").value(periods[i]);
-      } else if (report.units[i].state == runtime::UnitState::kSkipped) {
-        json.key("skipped").value(true);
-        json.key("period_ps").value(periods[i]);
-      } else {
-        emit_run_stats(json, points[i]);
+    const FaultCampaignSpec& spec = opt.spec;
+    const FaultCampaignSetup setup(spec, lib);
+    json.key("critical_path_ps").value(setup.crit_ps);
+    json.key("period_ps").value(setup.system.period_ps);
+    json.key("ops").value(static_cast<std::uint64_t>(spec.ops));
+    if (opt.campaign == "fault") {
+      const FaultCampaign& campaign = setup.campaign;
+      if (!attach_store(campaign.config_digest(setup.patterns))) return 3;
+      runtime::RobustRunner runner(runner_config);
+      std::optional<FaultCampaignStats> stats;
+      try {
+        stats = campaign.run(setup.patterns, CampaignRunOptions{
+                                                 .runner = &runner,
+                                                 .report = &report});
+      } catch (const runtime::RunError&) {
+        // A signal-interrupted campaign is not an error: completed units
+        // are checkpointed, the JSON says so, and the exit code is
+        // 128+signal.
+        if (g_signal == 0) throw;
       }
-      json.end_object();
+      json.key("kind").value(fault_kind_name(spec.kind));
+      json.key("configured_trials").value(spec.trials);
+      json.key("sites_per_trial").value(spec.sites);
+      if (spec.kind == FaultKind::kDelayOutlier) {
+        json.key("delay_factor").value(spec.delay_factor);
+      }
+      json.key("seed").value(spec.seed);
+      if (stats.has_value()) {
+        json.key("stats").begin_object();
+        write_stats_json(json, *stats);
+        json.end_object();
+      } else {
+        json.key("interrupted").value(true);
+      }
+    } else {
+      // Period sweep: demonstrate the sweep_periods wiring under the same
+      // runtime (unit = one sweep point).
+      const auto trace = compute_op_trace(setup.mult, lib, setup.patterns);
+      const std::vector<double> periods = bench::linspace(
+          0.45 * setup.crit_ps, 1.05 * setup.crit_ps, opt.sweep_points);
+      runtime::Digest digest;
+      digest.mix(std::string_view("agingrun-sweep/v1"))
+          .mix(spec.width)
+          .mix(static_cast<std::uint64_t>(spec.ops))
+          .mix(spec.period_frac)
+          .mix(opt.sweep_points)
+          .mix(std::string_view(spec.arch))
+          .mix(spec.skip());
+      if (!attach_store(digest.value())) return 3;
+      runtime::RobustRunner runner(runner_config);
+      const std::vector<RunStats> points =
+          bench::sweep_periods(setup.mult, trace, periods, spec.skip(), true,
+                               0.0, nullptr, &runner, &report);
+
+      json.key("points").begin_array();
+      for (std::size_t i = 0; i < points.size(); ++i) {
+        json.begin_object();
+        if (report.units[i].state == runtime::UnitState::kQuarantined) {
+          json.key("quarantined").value(true);
+          json.key("period_ps").value(periods[i]);
+        } else if (report.units[i].state == runtime::UnitState::kSkipped) {
+          json.key("skipped").value(true);
+          json.key("period_ps").value(periods[i]);
+        } else {
+          write_stats_json(json, points[i]);
+        }
+        json.end_object();
+      }
+      json.end_array();
+      if (report.interrupted()) json.key("interrupted").value(true);
     }
-    json.end_array();
-    if (report.interrupted()) json.key("interrupted").value(true);
   }
   json.end_object();
 
