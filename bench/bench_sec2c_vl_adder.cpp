@@ -20,7 +20,9 @@ static int bench_body() {
   // Paper bit indices A4/A5 are 1-based; probing 0-based bits 3 and 4
   // splits the chain 5 + 3, exactly the figure's layout.
   const AdderNetlist vl = build_variable_latency_rca(8, 3, 2);
-  const double crit = run_sta(vl.netlist, t).critical_path_ps;
+  const StaCorner fresh;
+  const double crit =
+      StaEngine(vl.netlist, t).run({&fresh, 1})[0].critical_path_ps;
 
   TimingSim sim(vl.netlist, t);
   std::vector<Logic> pattern(vl.netlist.num_inputs());

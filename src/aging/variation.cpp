@@ -1,5 +1,6 @@
 #include "src/aging/variation.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -58,6 +59,17 @@ std::vector<double> process_variation_scales(const Netlist& netlist,
   return scales;
 }
 
+std::vector<int> topological_levels(const Netlist& netlist) {
+  std::vector<int> level(netlist.num_gates(), 0);
+  for (GateId g = 0; g < level.size(); ++g) {
+    for (NetId in : netlist.gate_inputs(g)) {
+      const std::int32_t drv = netlist.driver_of(in);
+      if (drv >= 0) level[g] = std::max(level[g], level[drv] + 1);
+    }
+  }
+  return level;
+}
+
 std::vector<double> correlated_variation_scales(const Netlist& netlist,
                                                 const VariationModel& model,
                                                 std::uint64_t seed,
@@ -84,7 +96,8 @@ std::vector<double> correlated_variation_scales(const Netlist& netlist,
   // Grid nodes at block boundaries: gate g sits at continuous coordinate
   // level(g) / grid_levels and interpolates between the two neighbouring
   // nodes, so correlation decays smoothly with level distance.
-  const int depth = netlist.depth();
+  const std::vector<int> level = topological_levels(netlist);
+  const int depth = *std::max_element(level.begin(), level.end()) + 1;
   const std::size_t num_nodes =
       static_cast<std::size_t>((depth + model.grid_levels - 1) /
                                model.grid_levels) +
@@ -93,7 +106,7 @@ std::vector<double> correlated_variation_scales(const Netlist& netlist,
   for (double& node : grid_nodes) node = gauss.next();
 
   for (GateId g = 0; g < num_gates; ++g) {
-    const double x = static_cast<double>(netlist.level(g)) /
+    const double x = static_cast<double>(level[g]) /
                      static_cast<double>(model.grid_levels);
     // num_nodes >= 2 whenever there are gates (depth >= 1), and the top
     // level lands strictly below the last node, so lo+1 is always valid

@@ -47,6 +47,12 @@ struct VariationModel {
   double sigma_die = 0.03;     ///< die-to-die mean-shift sigma
 };
 
+/// Topological level of every gate, the grid coordinate of
+/// correlated_variation_scales: 0 when every input is a primary input (or
+/// the gate has none), otherwise 1 + the maximum level of its driving gates.
+/// One forward pass over gate ids, which the netlist keeps topological.
+std::vector<int> topological_levels(const Netlist& netlist);
+
 /// Samples one die's correlated overlay. `die_z` overrides the die-level
 /// normal draw (the Monte-Carlo engine's stratified-sampling hook); the
 /// draw is consumed from the stream either way, so stratified and plain

@@ -109,7 +109,9 @@ std::vector<OpTrace> compute_op_trace(
 
 double critical_path_ps(const MultiplierNetlist& mult, const TechLibrary& tech,
                         std::span<const double> gate_delay_scale) {
-  return run_sta(mult.netlist, tech, gate_delay_scale).critical_path_ps;
+  const StaCorner corner{
+      "", {gate_delay_scale.begin(), gate_delay_scale.end()}};
+  return StaEngine(mult.netlist, tech).run({&corner, 1})[0].critical_path_ps;
 }
 
 VariableLatencySystem::VariableLatencySystem(const MultiplierNetlist& mult,

@@ -75,7 +75,9 @@ std::vector<OpTrace> compute_op_trace(
     std::span<const double> gate_delay_scale = {});
 
 /// Critical-path delay (ps) of the (optionally aged) multiplier — the cycle
-/// period a fixed-latency design must budget.
+/// period a fixed-latency design must budget. The max-only convenience over
+/// one StaEngine corner; use StaEngine directly for min arrivals or for
+/// several corners.
 double critical_path_ps(const MultiplierNetlist& mult, const TechLibrary& tech,
                         std::span<const double> gate_delay_scale = {});
 

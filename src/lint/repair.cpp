@@ -18,6 +18,18 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// picosecond-scale doubles, so a micro-ps tolerance is orders of magnitude
 /// above rounding noise and below any physical margin.
 constexpr double kEpsPs = 1e-6;
+/// Repair iterations; each pass re-runs the full min/max multi-corner STA
+/// before deciding the next insertion. The bound only stops unrepairable
+/// designs early: upstream (phase-B) repair inserts one chain per pass, so
+/// wide multipliers legitimately take O(outputs x chain-length) passes —
+/// 16-bit designs converge around a thousand.
+constexpr int kMaxPasses = 4000;
+/// Total delay-buffer budget across the whole repair.
+constexpr int kMaxBuffers = 100000;
+/// Setup-side planning guard: a buffer inserted fresh will itself age, so
+/// the setup corners and slack checks charge each new buffer
+/// `delay * kNewBufferMaxScale`. The hold side credits only the fresh delay.
+constexpr double kNewBufferMaxScale = 1.2;
 
 /// One setup-limit endpoint class for the slack checks: a set of endpoint
 /// output nets that share one max-arrival ceiling.
@@ -115,8 +127,7 @@ HoldRepairResult repair_hold(Netlist& netlist, const TechLibrary& tech,
     throw std::invalid_argument(
         "repair_hold: the buffer cell has a non-positive delay");
   }
-  const double d_buf_guard =
-      d_buf * std::max(1.0, config.new_buffer_max_scale);
+  const double d_buf_guard = d_buf * kNewBufferMaxScale;
 
   HoldRepairResult res;
   res.period_ps = period;
@@ -133,20 +144,10 @@ HoldRepairResult repair_hold(Netlist& netlist, const TechLibrary& tech,
   // Snapshot for the equivalence proof before any surgery.
   const Netlist original = netlist;
 
-  // New buffers are absent from any extracted aging scenario, so the two
-  // planes model them asymmetrically: scale 1.0 in the hold/min corners
-  // (aging only slows a gate, so fresh buffers bound the earliest arrival
-  // from below) and the `new_buffer_max_scale` guard in the setup/max
-  // corners, bounding whatever scale a later re-extraction assigns them.
-  // With a rebuild_corners callback the overlays always carry true scales
-  // and one corner set serves both planes.
-  std::vector<StaCorner> corners = config.rebuild_corners
-                                       ? config.rebuild_corners(netlist)
-                                       : aging_corners(netlist, timing);
-  const double guard_scale = std::max(1.0, config.new_buffer_max_scale);
-  const bool dual_planes = !config.rebuild_corners && guard_scale > 1.0;
-  std::vector<StaCorner> setup_corners =
-      dual_planes ? corners : std::vector<StaCorner>{};
+  // Hold (min) corners splice inserted buffers in at scale 1.0, setup (max)
+  // corners at the kNewBufferMaxScale guard.
+  std::vector<StaCorner> corners = aging_corners(netlist, timing);
+  std::vector<StaCorner> setup_corners = corners;
 
   std::vector<int> attributed(n_out, 0);
   std::vector<double> before_min(n_out, 0.0), before_max(n_out, 0.0);
@@ -154,18 +155,17 @@ HoldRepairResult repair_hold(Netlist& netlist, const TechLibrary& tech,
   // after (an insertion must not create a new razor-coverage error).
   std::vector<std::uint8_t> unprot_was_fast(n_out, 0);
   bool recorded_before = false;
-  bool stuck = false;
 
   std::vector<double> worst_min(n_out), worst_max(n_out);
-  const auto collect_worst = [&](const MinMaxStaResult& sta_min,
-                                 const MinMaxStaResult& sta_max) {
+  const auto collect_worst = [&](const std::vector<CornerTiming>& sta_min,
+                                 const std::vector<CornerTiming>& sta_max) {
     for (std::size_t i = 0; i < n_out; ++i) {
       const NetId o = netlist.output_nets()[i];
       double lo = kInf, hi = -kInf;
-      for (const CornerTiming& c : sta_min.corners) {
+      for (const CornerTiming& c : sta_min) {
         lo = std::min(lo, c.min_arrival_ps[o]);
       }
-      for (const CornerTiming& c : sta_max.corners) {
+      for (const CornerTiming& c : sta_max) {
         hi = std::max(hi, c.max_arrival_ps[o]);
       }
       worst_min[i] = lo;
@@ -173,12 +173,10 @@ HoldRepairResult repair_hold(Netlist& netlist, const TechLibrary& tech,
     }
   };
 
-  for (int pass = 0; pass < config.max_passes; ++pass) {
+  for (int pass = 0; pass < kMaxPasses; ++pass) {
     const StaEngine engine(netlist, tech);
-    const MinMaxStaResult sta = engine.run(corners);
-    const MinMaxStaResult setup_sta =
-        dual_planes ? engine.run(setup_corners) : MinMaxStaResult{};
-    const MinMaxStaResult& sta_max = dual_planes ? setup_sta : sta;
+    const std::vector<CornerTiming> sta = engine.run(corners);
+    const std::vector<CornerTiming> sta_max = engine.run(setup_corners);
     collect_worst(sta, sta_max);
     if (!recorded_before) {
       before_min = worst_min;
@@ -198,10 +196,7 @@ HoldRepairResult repair_hold(Netlist& netlist, const TechLibrary& tech,
     }
     if (violating.empty()) break;
     res.passes = pass + 1;
-    if (res.buffers_inserted >= config.max_buffers) {
-      stuck = true;
-      break;
-    }
+    if (res.buffers_inserted >= kMaxBuffers) break;
 
     // Phase A: endpoint padding. Appending n buffers at the output shifts
     // both planes up by n*d_buf, so it works exactly when the max side has
@@ -215,24 +210,17 @@ HoldRepairResult repair_hold(Netlist& netlist, const TechLibrary& tech,
       if (static_cast<double>(needed) * d_buf_guard > headroom + kEpsPs) {
         continue;
       }
-      if (res.buffers_inserted + needed > config.max_buffers) continue;
+      if (res.buffers_inserted + needed > kMaxBuffers) continue;
       const std::size_t prior = netlist.num_gates();
       NetlistSurgeon(netlist).insert_output_buffer(i, needed);
-      if (!config.rebuild_corners) {
-        splice_overlays(corners, std::string::npos, needed, 1.0, prior);
-        if (dual_planes) {
-          splice_overlays(setup_corners, std::string::npos, needed,
-                          guard_scale, prior);
-        }
-      }
+      splice_overlays(corners, std::string::npos, needed, 1.0, prior);
+      splice_overlays(setup_corners, std::string::npos, needed,
+                      kNewBufferMaxScale, prior);
       attributed[i] += needed;
       res.buffers_inserted += needed;
       padded = true;
     }
-    if (padded) {
-      if (config.rebuild_corners) corners = config.rebuild_corners(netlist);
-      continue;
-    }
+    if (padded) continue;
 
     // Phase B: one upstream insertion on a violating output's min-critical
     // path, at the edge with the largest worst-corner setup slack. One edge
@@ -257,14 +245,12 @@ HoldRepairResult repair_hold(Netlist& netlist, const TechLibrary& tech,
         classes[2].any = true;
       }
     }
-    // Setup slack is always judged in the guard-scaled plane.
-    const std::vector<StaCorner>& max_corners =
-        dual_planes ? setup_corners : corners;
-    std::vector<std::vector<StaEngine::Downstream>> down(max_corners.size());
-    for (std::size_t ci = 0; ci < max_corners.size(); ++ci) {
+    // Setup slack is judged in the guard-scaled plane.
+    std::vector<std::vector<StaEngine::Downstream>> down(setup_corners.size());
+    for (std::size_t ci = 0; ci < setup_corners.size(); ++ci) {
       for (const EndpointClass& ec : classes) {
         down[ci].push_back(ec.any
-                               ? engine.downstream(max_corners[ci], ec.mask)
+                               ? engine.downstream(setup_corners[ci], ec.mask)
                                : StaEngine::Downstream{});
       }
     }
@@ -281,13 +267,12 @@ HoldRepairResult repair_hold(Netlist& netlist, const TechLibrary& tech,
       // Min-critical path in the corner attaining this output's worst min.
       const NetId o = netlist.output_nets()[i];
       std::size_t worst_ci = 0;
-      for (std::size_t ci = 1; ci < sta.corners.size(); ++ci) {
-        if (sta.corners[ci].min_arrival_ps[o] <
-            sta.corners[worst_ci].min_arrival_ps[o]) {
+      for (std::size_t ci = 1; ci < sta.size(); ++ci) {
+        if (sta[ci].min_arrival_ps[o] < sta[worst_ci].min_arrival_ps[o]) {
           worst_ci = ci;
         }
       }
-      const CornerTiming& wc = sta.corners[worst_ci];
+      const CornerTiming& wc = sta[worst_ci];
       std::vector<std::pair<NetId, GateId>> edges;
       NetId n = o;
       while (true) {
@@ -312,10 +297,10 @@ HoldRepairResult repair_hold(Netlist& netlist, const TechLibrary& tech,
         const auto [in, g] = edges[e];
         const Gate& gt = netlist.gate(g);
         double cap = kInf;
-        for (std::size_t ci = 0; ci < max_corners.size(); ++ci) {
-          const CornerTiming& c = sta_max.corners[ci];
+        for (std::size_t ci = 0; ci < setup_corners.size(); ++ci) {
+          const CornerTiming& c = sta_max[ci];
           const double dg =
-              tech.delay(gt.kind) * corner_scale(max_corners[ci], g);
+              tech.delay(gt.kind) * corner_scale(setup_corners[ci], g);
           for (std::size_t k = 0; k < classes.size(); ++k) {
             if (!classes[k].any) continue;
             const double dn = down[ci][k].max_ps[gt.out];
@@ -338,39 +323,27 @@ HoldRepairResult repair_hold(Netlist& netlist, const TechLibrary& tech,
       const int needed =
           std::max(1, static_cast<int>(std::ceil(deficit / d_buf)));
       const int count =
-          std::min({best_cap, needed,
-                    config.max_buffers - res.buffers_inserted});
+          std::min({best_cap, needed, kMaxBuffers - res.buffers_inserted});
       if (count <= 0) continue;
       const auto [in, g] = edges[best_edge];
       const std::size_t prior = netlist.num_gates();
       NetlistSurgeon(netlist).insert_buffer(in, g, count);
-      if (config.rebuild_corners) {
-        corners = config.rebuild_corners(netlist);
-      } else {
-        splice_overlays(corners, g, count, 1.0, prior);
-        if (dual_planes) {
-          splice_overlays(setup_corners, g, count, guard_scale, prior);
-        }
-      }
+      splice_overlays(corners, g, count, 1.0, prior);
+      splice_overlays(setup_corners, g, count, kNewBufferMaxScale, prior);
       attributed[i] += count;
       res.buffers_inserted += count;
       inserted = true;
       break;
     }
-    if (!inserted) {
-      // No violating output has a legal insertion left at this period:
-      // report honestly instead of looping.
-      stuck = true;
-      break;
-    }
+    // No violating output has a legal insertion left at this period:
+    // report honestly instead of looping.
+    if (!inserted) break;
   }
 
   // Final verdicts from a fresh full analysis of the repaired netlist.
   const StaEngine engine(netlist, tech);
-  const MinMaxStaResult sta = engine.run(corners);
-  const MinMaxStaResult setup_sta =
-      dual_planes ? engine.run(setup_corners) : MinMaxStaResult{};
-  const MinMaxStaResult& sta_max = dual_planes ? setup_sta : sta;
+  const std::vector<CornerTiming> sta = engine.run(corners);
+  const std::vector<CornerTiming> sta_max = engine.run(setup_corners);
   collect_worst(sta, sta_max);
   if (!recorded_before) {
     before_min = worst_min;
@@ -380,7 +353,7 @@ HoldRepairResult repair_hold(Netlist& netlist, const TechLibrary& tech,
   res.hold_clean = true;
   res.max_clean = true;
   double crit = 0.0;
-  for (const CornerTiming& c : sta_max.corners) {
+  for (const CornerTiming& c : sta_max) {
     crit = std::max(crit, c.critical_path_ps);
   }
   if (crit > budget + kEpsPs) res.max_clean = false;
@@ -403,12 +376,8 @@ HoldRepairResult repair_hold(Netlist& netlist, const TechLibrary& tech,
       res.max_clean = false;
     }
   }
-  (void)stuck;  // `stuck` only shortens the loop; verdicts come from the STA
-
-  if (config.verify_equivalence) {
-    res.equivalence = check_logic_equivalence(
-        original, netlist, config.equiv_vectors, config.equiv_seed);
-  }
+  res.equivalence = check_logic_equivalence(
+      original, netlist, config.equiv_vectors, config.equiv_seed);
   return res;
 }
 

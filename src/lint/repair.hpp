@@ -1,47 +1,22 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "src/lint/rule.hpp"
 #include "src/netlist/netlist.hpp"
 #include "src/netlist/techlib.hpp"
-#include "src/sim/sta.hpp"
 
 namespace agingsim::lint {
 
-/// Tuning knobs for `repair_hold`.
+/// Knobs of `repair_hold`'s equivalence proof: after repair the netlist is
+/// re-proved logic-equivalent to the original (exact per-lane value
+/// comparison through the values-only sweep) on `equiv_vectors` seeded
+/// patterns; 0 vectors leaves `HoldRepairResult::equivalence` unchecked.
 struct HoldRepairConfig {
-  /// Repair iterations (each pass re-runs the full min/max multi-corner STA
-  /// before deciding the next insertion). The pass count bounds work on
-  /// unrepairable designs; a clean exit happens as soon as the min side is
-  /// clean. Upstream (phase-B) repair inserts one chain per pass, so wide
-  /// multipliers legitimately take O(outputs x chain-length) passes — 16-bit
-  /// designs converge around a thousand.
-  int max_passes = 4000;
-  /// Total delay-buffer budget across the whole repair.
-  int max_buffers = 100000;
-  /// Planning guard for the *setup* side of every insertion: a buffer
-  /// inserted fresh (delay scale 1.0 in every corner) will itself age, so
-  /// the slack checks charge each new buffer `delay * new_buffer_max_scale`
-  /// against the setup limits. The min (hold) side deliberately credits only
-  /// the fresh delay — aging slows buffers, so fresh is the conservative
-  /// bound for earliest arrivals.
-  double new_buffer_max_scale = 1.2;
-  /// Re-prove logic equivalence (repaired vs. original netlist, exact
-  /// per-lane value comparison through the batch timing kernel) after repair.
-  bool verify_equivalence = true;
   std::size_t equiv_vectors = 256;
   std::uint64_t equiv_seed = 0x401DFACEULL;
-  /// Optional: rebuild the STA corner overlays on the evolving netlist after
-  /// each mutating pass (e.g. re-extract an aging scenario so inserted
-  /// buffers get real stress-derived scales). Default (unset): the pass
-  /// splices unit-scale entries for inserted buffers into the initial
-  /// corners, which together with `new_buffer_max_scale` is conservative on
-  /// both planes. Must return overlays sized for the netlist it is given.
-  std::function<std::vector<StaCorner>(const Netlist&)> rebuild_corners;
 };
 
 /// Per-primary-output before/after summary of one repair run. Arrival
@@ -112,9 +87,15 @@ struct HoldRepairResult {
 ///     min-critical path, at the edge with the largest worst-corner setup
 ///     slack (computed from `StaEngine::downstream` bounds), so the shortest
 ///     path is lengthened without touching the setup-critical path.
-/// Passes repeat until clean, the pass budget runs out, or no legal
-/// insertion exists (the result then reports `hold_clean == false` with the
-/// honest per-output numbers).
+/// Passes repeat until clean, the pass budget (4000 passes, 100000 buffers)
+/// runs out, or no legal insertion exists (the result then reports
+/// `hold_clean == false` with the honest per-output numbers).
+///
+/// Inserted buffers are absent from the aging overlays, so the two planes
+/// model them asymmetrically: scale 1.0 in the hold (min) corners — aging
+/// only slows a gate, so fresh is the conservative bound for earliest
+/// arrivals — and a 1.2 guard in the setup (max) corners, bounding whatever
+/// scale a later re-extraction assigns them.
 ///
 /// `timing` supplies period, shadow window, margin, protection flags and the
 /// aging sweep (via `aging_corners`); `timing.check_hold` need not be set.

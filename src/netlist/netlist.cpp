@@ -1,6 +1,5 @@
 #include "src/netlist/netlist.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -8,36 +7,7 @@
 
 namespace agingsim {
 
-Netlist::Netlist() : index_once_(std::make_unique<std::once_flag>()) {}
-
-Netlist::Netlist(const Netlist& other)
-    : gates_(other.gates_),
-      pins_(other.pins_),
-      driver_(other.driver_),
-      input_nets_(other.input_nets_),
-      output_nets_(other.output_nets_),
-      input_names_(other.input_names_),
-      output_names_(other.output_names_),
-      index_once_(std::make_unique<std::once_flag>()) {}
-
-Netlist& Netlist::operator=(const Netlist& other) {
-  if (this != &other) {
-    gates_ = other.gates_;
-    pins_ = other.pins_;
-    driver_ = other.driver_;
-    input_nets_ = other.input_nets_;
-    output_nets_ = other.output_nets_;
-    input_names_ = other.input_names_;
-    output_names_ = other.output_names_;
-    index_once_ = std::make_unique<std::once_flag>();
-    index_ = FanoutIndex{};
-    index_built_ = false;
-  }
-  return *this;
-}
-
 NetId Netlist::add_input(std::string name) {
-  invalidate_index();
   const NetId id = static_cast<NetId>(driver_.size());
   driver_.push_back(-1);
   input_nets_.push_back(id);
@@ -61,7 +31,6 @@ NetId Netlist::add_gate(CellKind kind, std::span<const NetId> inputs) {
           "created before use; this also guarantees acyclicity)");
     }
   }
-  invalidate_index();
   const NetId out = static_cast<NetId>(driver_.size());
   const std::uint32_t in_begin = static_cast<std::uint32_t>(pins_.size());
   pins_.insert(pins_.end(), inputs.begin(), inputs.end());
@@ -77,80 +46,6 @@ void Netlist::mark_output(NetId net, std::string name) {
   }
   output_nets_.push_back(net);
   output_names_.push_back(std::move(name));
-}
-
-std::span<const GateId> Netlist::fanout(NetId net) const {
-  if (net >= driver_.size()) {
-    throw std::invalid_argument("Netlist::fanout: net does not exist");
-  }
-  ensure_index();
-  return {index_.consumers.data() + index_.begin[net],
-          index_.begin[net + 1] - index_.begin[net]};
-}
-
-Netlist::FanoutView Netlist::fanout_view() const {
-  ensure_index();
-  return {index_.begin.data(), index_.consumers.data()};
-}
-
-int Netlist::level(GateId g) const {
-  if (g >= gates_.size()) {
-    throw std::invalid_argument("Netlist::level: gate does not exist");
-  }
-  ensure_index();
-  return index_.level[g];
-}
-
-int Netlist::depth() const {
-  ensure_index();
-  return index_.depth;
-}
-
-void Netlist::ensure_index() const {
-  std::call_once(*index_once_, [this] {
-    build_index();
-    index_built_ = true;
-  });
-}
-
-void Netlist::build_index() const {
-  index_.begin.assign(num_nets() + 1, 0);
-  index_.consumers.resize(pins_.size());
-  index_.level.assign(gates_.size(), 0);
-  index_.depth = 0;
-
-  // Counting sort of the flat pin array into per-net consumer runs. Gates
-  // are scanned in id order, so each run comes out sorted by gate id.
-  for (NetId in : pins_) ++index_.begin[in + 1];
-  for (std::size_t n = 1; n < index_.begin.size(); ++n) {
-    index_.begin[n] += index_.begin[n - 1];
-  }
-  std::vector<std::uint32_t> cursor(index_.begin.begin(),
-                                    index_.begin.end() - 1);
-  for (std::size_t gi = 0; gi < gates_.size(); ++gi) {
-    for (NetId in : gate_inputs(static_cast<GateId>(gi))) {
-      index_.consumers[cursor[in]++] = static_cast<GateId>(gi);
-    }
-  }
-
-  // Levels in one forward pass (gate order is topological by construction).
-  for (std::size_t gi = 0; gi < gates_.size(); ++gi) {
-    std::int32_t lvl = 0;
-    for (NetId in : gate_inputs(static_cast<GateId>(gi))) {
-      const std::int32_t drv = driver_[in];
-      if (drv >= 0) lvl = std::max(lvl, index_.level[drv] + 1);
-    }
-    index_.level[gi] = lvl;
-    index_.depth = std::max(index_.depth, static_cast<int>(lvl) + 1);
-  }
-}
-
-void Netlist::invalidate_index() {
-  if (index_built_) {
-    index_once_ = std::make_unique<std::once_flag>();
-    index_ = FanoutIndex{};
-    index_built_ = false;
-  }
 }
 
 std::int64_t Netlist::transistor_count() const noexcept {

@@ -1,8 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -41,14 +39,6 @@ struct Gate {
 /// those registers is modelled in src/core/.
 class Netlist {
  public:
-  Netlist();
-  Netlist(Netlist&&) noexcept = default;
-  Netlist& operator=(Netlist&&) noexcept = default;
-  /// Copies the structure; the derived fanout index is not shared and is
-  /// rebuilt lazily in the copy.
-  Netlist(const Netlist& other);
-  Netlist& operator=(const Netlist& other);
-
   /// Creates a primary-input net.
   NetId add_input(std::string name);
 
@@ -87,34 +77,6 @@ class Netlist {
   /// Driving gate of `net`, or -1 if `net` is a primary input.
   std::int32_t driver_of(NetId net) const noexcept { return driver_[net]; }
 
-  /// Gates that read `net` (its consumers), in ascending gate-id order.
-  /// Backed by a CSR index over the flat pin array, built lazily on first
-  /// access (thread-safe: concurrent readers of a non-mutating netlist may
-  /// race to trigger the build) and invalidated by add_input/add_gate. A
-  /// gate listing the same net on several pins appears once per pin.
-  std::span<const GateId> fanout(NetId net) const;
-
-  /// Raw CSR view of the whole fanout index: consumers of net `n` are
-  /// `consumers[begin[n]] .. consumers[begin[n+1]]`. One `ensure_index`
-  /// per call, so hot loops (the event-driven simulator kernel) grab a view
-  /// once per step instead of paying the lazy-init check per net. The view
-  /// is invalidated by add_input/add_gate, like any span into the netlist.
-  struct FanoutView {
-    const std::uint32_t* begin = nullptr;
-    const GateId* consumers = nullptr;
-  };
-  FanoutView fanout_view() const;
-
-  /// Topological level of gate `g`: 0 when every input is a primary input,
-  /// otherwise 1 + the maximum level of its driving gates. Gate ids are
-  /// themselves a topological order refining these levels (a driver's id is
-  /// always smaller than its consumers'), which is what the event-driven
-  /// simulator kernel relies on.
-  int level(GateId g) const;
-
-  /// Number of distinct levels (max level + 1); 0 for a gate-free netlist.
-  int depth() const;
-
   /// Total transistor count (the paper's area metric, Fig. 25).
   std::int64_t transistor_count() const noexcept;
 
@@ -134,18 +96,6 @@ class Netlist {
   /// Test-only structural surgery (tests/ and the lint fuzzers); see
   /// src/netlist/surgeon.hpp.
   friend class NetlistSurgeon;
-  /// Per-net consumer lists (CSR over pins_) plus per-gate topological
-  /// levels. Derived data: rebuilt on demand after structural edits.
-  struct FanoutIndex {
-    std::vector<std::uint32_t> begin;  // size num_nets() + 1
-    std::vector<GateId> consumers;     // size pins_.size()
-    std::vector<std::int32_t> level;   // per gate
-    int depth = 0;
-  };
-
-  void ensure_index() const;
-  void build_index() const;
-  void invalidate_index();
 
   std::vector<Gate> gates_;
   std::vector<NetId> pins_;           // flat gate-input array
@@ -154,12 +104,6 @@ class Netlist {
   std::vector<NetId> output_nets_;
   std::vector<std::string> input_names_;
   std::vector<std::string> output_names_;
-
-  // Lazily built derived index. The once_flag lives behind a unique_ptr so
-  // the netlist stays movable; invalidation swaps in a fresh flag.
-  mutable FanoutIndex index_;
-  mutable std::unique_ptr<std::once_flag> index_once_;
-  mutable bool index_built_ = false;
 };
 
 }  // namespace agingsim

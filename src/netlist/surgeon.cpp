@@ -8,7 +8,6 @@ void NetlistSurgeon::set_gate_kind(GateId gate, CellKind kind) {
   if (gate >= nl_.num_gates()) {
     throw std::invalid_argument("NetlistSurgeon: gate does not exist");
   }
-  nl_.invalidate_index();
   nl_.gates_[gate].kind = kind;
 }
 
@@ -16,7 +15,6 @@ void NetlistSurgeon::set_gate_pin_count(GateId gate, std::uint16_t count) {
   if (gate >= nl_.num_gates()) {
     throw std::invalid_argument("NetlistSurgeon: gate does not exist");
   }
-  nl_.invalidate_index();
   nl_.gates_[gate].in_count = count;
 }
 
@@ -24,7 +22,6 @@ void NetlistSurgeon::set_gate_pin_begin(GateId gate, std::uint32_t begin) {
   if (gate >= nl_.num_gates()) {
     throw std::invalid_argument("NetlistSurgeon: gate does not exist");
   }
-  nl_.invalidate_index();
   nl_.gates_[gate].in_begin = begin;
 }
 
@@ -32,7 +29,6 @@ void NetlistSurgeon::set_pin(std::size_t pin_index, NetId net) {
   if (pin_index >= nl_.pins_.size()) {
     throw std::invalid_argument("NetlistSurgeon: pin index out of range");
   }
-  nl_.invalidate_index();
   nl_.pins_[pin_index] = net;
 }
 
@@ -40,7 +36,6 @@ void NetlistSurgeon::set_driver(NetId net, std::int32_t driver) {
   if (net >= nl_.num_nets()) {
     throw std::invalid_argument("NetlistSurgeon: net does not exist");
   }
-  nl_.invalidate_index();
   nl_.driver_[net] = driver;
 }
 
@@ -48,7 +43,6 @@ void NetlistSurgeon::set_gate_out(GateId gate, NetId net) {
   if (gate >= nl_.num_gates()) {
     throw std::invalid_argument("NetlistSurgeon: gate does not exist");
   }
-  nl_.invalidate_index();
   nl_.gates_[gate].out = net;
 }
 
@@ -56,7 +50,6 @@ void NetlistSurgeon::set_output_net(std::size_t output_index, NetId net) {
   if (output_index >= nl_.num_outputs()) {
     throw std::invalid_argument("NetlistSurgeon: output index out of range");
   }
-  nl_.invalidate_index();
   nl_.output_nets_[output_index] = net;
 }
 
@@ -87,7 +80,6 @@ NetId NetlistSurgeon::insert_buffer(NetId net, GateId sink, int count) {
     throw std::invalid_argument(
         "NetlistSurgeon::insert_buffer: sink does not read net");
   }
-  nl_.invalidate_index();
 
   // The chain takes gate ids [pos_g, pos_g+count) and net ids
   // [pos_n, pos_n+count). `net` is read by `sink`, so net < pos_n and its id
@@ -154,7 +146,6 @@ NetId NetlistSurgeon::insert_output_buffer(std::size_t output_index,
     throw std::invalid_argument(
         "NetlistSurgeon::insert_output_buffer: output net does not exist");
   }
-  nl_.invalidate_index();
   for (int j = 0; j < count; ++j) {
     const auto out = static_cast<NetId>(nl_.driver_.size());
     const auto pin_index = static_cast<std::uint32_t>(nl_.pins_.size());

@@ -23,8 +23,6 @@ namespace agingsim {
 ///    logic function. The hold-repair pass (src/lint/repair.hpp) uses them
 ///    to pad short paths with delay buffers; the lint fuzzers use them as
 ///    benign mutations that must never trip a rule.
-///
-/// Every mutation invalidates the netlist's derived fanout index.
 class NetlistSurgeon {
  public:
   explicit NetlistSurgeon(Netlist& netlist) : nl_(netlist) {}

@@ -9,6 +9,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <type_traits>
 #include <utility>
 
 #include "src/aging/bti.hpp"
@@ -84,6 +85,37 @@ struct QueryParams {
   std::uint64_t workload_seed = kWorkloadSeed;
 };
 
+/// Strict read of one optional params member into `out`: an absent key
+/// keeps the default; a wrong JSON kind, or a number that is not an integer
+/// of `T`'s range, is the returned bad_request message.
+template <typename T>
+std::optional<std::string> read_param(const JsonValue& params,
+                                      std::string_view key, T& out) {
+  const JsonValue* v = params.find(key);
+  if (v == nullptr) return std::nullopt;
+  const std::string name(key);
+  if constexpr (std::is_same_v<T, std::string>) {
+    if (!v->is_string()) return name + " must be a string";
+    out = v->as_string();
+  } else if constexpr (std::is_same_v<T, bool>) {
+    if (!v->is_bool()) return name + " must be a boolean";
+    out = v->as_bool();
+  } else if constexpr (std::is_same_v<T, double>) {
+    if (!v->is_number()) return name + " must be a number";
+    out = v->as_double();
+  } else if constexpr (std::is_same_v<T, std::int64_t>) {
+    const auto i = v->as_i64();
+    if (!i.has_value()) return name + " must be an integer";
+    out = *i;
+  } else {
+    static_assert(std::is_same_v<T, std::uint64_t>);
+    const auto u = v->as_u64();
+    if (!u.has_value()) return name + " must be a non-negative integer";
+    out = *u;
+  }
+  return std::nullopt;
+}
+
 std::optional<QueryParams> parse_query_params(const ServiceLimits& limits,
                                               const JsonValue& params,
                                               std::string* error) {
@@ -92,33 +124,38 @@ std::optional<QueryParams> parse_query_params(const ServiceLimits& limits,
     return std::nullopt;
   };
   QueryParams q;
-  q.arch_name = params.str_or("arch", "cb");
+  std::int64_t width = q.width;
+  std::int64_t ops = static_cast<std::int64_t>(q.ops);
+  std::int64_t skip = q.skip;
+  for (const std::optional<std::string>& bad :
+       {read_param(params, "arch", q.arch_name),
+        read_param(params, "width", width),
+        read_param(params, "years", q.years), read_param(params, "ops", ops),
+        read_param(params, "period_frac", q.period_frac),
+        read_param(params, "skip", skip),
+        read_param(params, "adaptive", q.adaptive),
+        read_param(params, "seed", q.workload_seed)}) {
+    if (bad.has_value()) return reject(*bad);
+  }
   const auto arch = multiplier_arch_from_name(q.arch_name);
   if (!arch.has_value()) return reject("arch must be am|cb|rb");
   q.arch = *arch;
-  const std::int64_t width = params.i64_or("width", 16);
   if (width < 2 || width > 32) return reject("width must be in [2, 32]");
   q.width = static_cast<int>(width);
-  q.years = params.num_or("years", 0.0);
   if (!(q.years >= 0.0) || q.years > limits.max_years) {
     return reject("years must be in [0, " + std::to_string(limits.max_years) +
                   "]");
   }
-  const std::int64_t ops = params.i64_or("ops", 2000);
   if (ops < 1 || static_cast<std::size_t>(ops) > limits.max_ops) {
     return reject("ops must be in [1, " + std::to_string(limits.max_ops) +
                   "]");
   }
   q.ops = static_cast<std::size_t>(ops);
-  q.period_frac = params.num_or("period_frac", 0.58);
   if (!(q.period_frac > 0.0) || q.period_frac > 4.0) {
     return reject("period_frac must be in (0, 4]");
   }
-  const std::int64_t skip = params.i64_or("skip", 7);
   if (skip < 1 || skip >= width) return reject("skip must be in [1, width)");
   q.skip = static_cast<int>(skip);
-  q.adaptive = params.bool_or("adaptive", true);
-  q.workload_seed = params.u64_or("seed", kWorkloadSeed);
   return q;
 }
 

@@ -13,7 +13,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 }  // namespace
 
 StaEngine::StaEngine(const Netlist& netlist, const TechLibrary& tech)
-    : netlist_(&netlist), tech_(&tech) {
+    : netlist_(&netlist) {
   const std::size_t num_gates = netlist.num_gates();
   const std::size_t num_nets = netlist.num_nets();
   const std::size_t num_pins = netlist.num_pins();
@@ -23,8 +23,6 @@ StaEngine::StaEngine(const Netlist& netlist, const TechLibrary& tech)
   // netlists; throwing (which the LintEngine converts into an error
   // diagnostic) is the contract, crashing is not.
   base_delay_ps_.resize(num_gates);
-  std::vector<std::int32_t> level(num_gates, 0);
-  int depth = 0;
   for (GateId g = 0; g < num_gates; ++g) {
     const Gate& gate = netlist.gate(g);
     if (static_cast<int>(gate.kind) >= kNumCellKinds) {
@@ -39,45 +37,15 @@ StaEngine::StaEngine(const Netlist& netlist, const TechLibrary& tech)
       throw std::invalid_argument("StaEngine: gate " + std::to_string(g) +
                                   " drives a nonexistent net");
     }
-    std::int32_t lvl = 0;
     for (NetId in : netlist.gate_inputs(g)) {
       if (in >= num_nets || in >= gate.out) {
         throw std::invalid_argument(
             "StaEngine: gate " + std::to_string(g) +
             " reads a net that is not topologically earlier than its output");
       }
-      const std::int32_t d = netlist.driver_of(in);
-      if (d >= 0) lvl = std::max(lvl, level[static_cast<GateId>(d)] + 1);
     }
-    level[g] = lvl;
-    depth = std::max(depth, lvl + 1);
     base_delay_ps_[g] = tech.delay(gate.kind);
   }
-  num_levels_ = num_gates == 0 ? 0 : depth;
-
-  // Counting sort into level-major order: gates of level L are contiguous,
-  // ascending id within the level (the schedule a level-synchronous parallel
-  // traversal would hand to worker threads).
-  level_begin_.assign(static_cast<std::size_t>(num_levels_) + 1, 0);
-  for (GateId g = 0; g < num_gates; ++g) {
-    ++level_begin_[static_cast<std::size_t>(level[g]) + 1];
-  }
-  for (std::size_t l = 1; l < level_begin_.size(); ++l) {
-    level_begin_[l] += level_begin_[l - 1];
-  }
-  level_order_.resize(num_gates);
-  std::vector<std::uint32_t> cursor(level_begin_.begin(),
-                                    level_begin_.end() - 1);
-  for (GateId g = 0; g < num_gates; ++g) {
-    level_order_[cursor[static_cast<std::size_t>(level[g])]++] = g;
-  }
-}
-
-std::span<const GateId> StaEngine::level_gates(int lvl) const {
-  if (lvl < 0 || lvl >= num_levels_) return {};
-  return {level_order_.data() + level_begin_[static_cast<std::size_t>(lvl)],
-          level_begin_[static_cast<std::size_t>(lvl) + 1] -
-              level_begin_[static_cast<std::size_t>(lvl)]};
 }
 
 void StaEngine::check_corner(const StaCorner& corner) const {
@@ -94,14 +62,14 @@ CornerTiming StaEngine::forward(const StaCorner& corner) const {
   CornerTiming t;
   t.name = corner.name;
   // Max plane starts at 0 for every net (primary inputs launch at t = 0 and
-  // undriven nets stay there — the legacy run_sta convention, preserved so
-  // the max plane is exactly == the legacy numbers). The min plane starts at
-  // 0 on primary inputs and is assigned on every gate-driven net; gates with
-  // no fanin (tie cells) seed their own delay in both planes.
+  // undriven nets stay there). The min plane starts at 0 on primary inputs
+  // and is assigned on every gate-driven net; gates with no fanin (tie
+  // cells) seed their own delay in both planes. Gate-id order is
+  // topological, so every fanin arrival is final when its consumer is read.
   t.max_arrival_ps.assign(nl.num_nets(), 0.0);
   t.min_arrival_ps.assign(nl.num_nets(), 0.0);
   const bool scaled = !corner.gate_delay_scale.empty();
-  for (const GateId g : level_order_) {
+  for (GateId g = 0; g < nl.num_gates(); ++g) {
     const Gate& gate = nl.gate(g);
     double in_min = kInf;
     double in_max = 0.0;
@@ -125,22 +93,13 @@ CornerTiming StaEngine::forward(const StaCorner& corner) const {
   return t;
 }
 
-MinMaxStaResult StaEngine::run(std::span<const StaCorner> corners) const {
+std::vector<CornerTiming> StaEngine::run(
+    std::span<const StaCorner> corners) const {
   for (const StaCorner& c : corners) check_corner(c);
-  MinMaxStaResult r;
-  r.corners.reserve(corners.size());
-  // One logical pass: per-corner planes are independent flat arrays and the
-  // schedule is walked once per corner batch. The arithmetic per gate only
-  // depends on its fanin's final values, so per-corner results are
-  // bit-identical whether corners share the gate loop or not; keeping the
-  // corner loop outermost keeps each plane's working set contiguous.
-  for (const StaCorner& c : corners) r.corners.push_back(forward(c));
+  std::vector<CornerTiming> r;
+  r.reserve(corners.size());
+  for (const StaCorner& c : corners) r.push_back(forward(c));
   return r;
-}
-
-CornerTiming StaEngine::run_corner(const StaCorner& corner) const {
-  check_corner(corner);
-  return forward(corner);
 }
 
 StaEngine::Downstream StaEngine::downstream(
@@ -161,11 +120,10 @@ StaEngine::Downstream StaEngine::downstream(
     }
   }
   const bool scaled = !corner.gate_delay_scale.empty();
-  // Reverse level-major order: every consumer of a net has a strictly
-  // larger gate id and level, so its downstream bounds are final before the
-  // net's driver is visited.
-  for (std::size_t i = level_order_.size(); i-- > 0;) {
-    const GateId g = level_order_[i];
+  // Reverse gate-id order: every consumer of a net has a strictly larger
+  // gate id, so its downstream bounds are final before the net's driver is
+  // visited.
+  for (GateId g = static_cast<GateId>(nl.num_gates()); g-- > 0;) {
     const Gate& gate = nl.gate(g);
     const double dn_min = d.min_ps[gate.out];
     const double dn_max = d.max_ps[gate.out];
@@ -178,24 +136,6 @@ StaEngine::Downstream StaEngine::downstream(
     }
   }
   return d;
-}
-
-StaResult run_sta(const Netlist& netlist, const TechLibrary& tech,
-                  std::span<const double> gate_delay_scale) {
-  if (!gate_delay_scale.empty() &&
-      gate_delay_scale.size() != netlist.num_gates()) {
-    throw std::invalid_argument(
-        "run_sta: gate_delay_scale must have one entry per gate");
-  }
-  const StaEngine engine(netlist, tech);
-  StaCorner corner;
-  corner.gate_delay_scale.assign(gate_delay_scale.begin(),
-                                 gate_delay_scale.end());
-  CornerTiming t = engine.run_corner(corner);
-  StaResult r;
-  r.arrival_ps = std::move(t.max_arrival_ps);
-  r.critical_path_ps = t.critical_path_ps;
-  return r;
 }
 
 }  // namespace agingsim

@@ -10,20 +10,11 @@
 
 namespace agingsim {
 
-/// Result of a legacy (max-only) static timing analysis pass.
-struct StaResult {
-  /// Worst-case arrival time (ps) of every net, inputs at t = 0.
-  std::vector<double> arrival_ps;
-  /// Max arrival over the primary outputs: the critical-path delay. This is
-  /// the cycle period a fixed-latency design must use (paper Section II-C).
-  double critical_path_ps = 0.0;
-};
-
 /// One analysis corner: a label plus an optional per-gate delay multiplier
 /// overlay (the aging overlay produced by src/aging/; empty means every gate
 /// runs at its nominal library delay). Corners compose fresh/aged silicon
-/// with any per-gate derating in one object, so a multi-corner run covers
-/// "fresh", "year-3.5", "year-7", ... in a single graph traversal.
+/// with any per-gate derating in one object, so one `StaEngine::run` covers
+/// "fresh", "year-3.5", "year-7", ... against one validated netlist.
 struct StaCorner {
   std::string name;
   /// One multiplier per gate, or empty for 1.0 everywhere.
@@ -33,18 +24,18 @@ struct StaCorner {
 /// Min/max arrivals of every net at one corner.
 ///
 /// `max_arrival_ps` is the latest settle time (setup side): every gate's
-/// output is max(input arrivals) + delay — identical to the legacy
-/// `run_sta` numbers, bit for bit.
+/// output is max(input arrivals) + delay. Tri-state buffers count as always
+/// enabled there, a conservative worst case for late settles only.
 ///
 /// `min_arrival_ps` is the *earliest time the net can change* after the
 /// launch edge (hold side): min over all input arcs + delay. Tri-state
 /// buffers deliberately include the enable arc in the min plane — a bypass
 /// select toggling can propagate new data through a kTbuf as soon as the
-/// enable arrives, even when the data pin is still settling. The legacy
-/// "always enabled" reading (correct as a max-side worst case) would drop
-/// that arc, because a statically-enabled buffer's enable never transitions;
-/// for min analysis that is unsound and hides exactly the short paths the
-/// Razor shadow window is vulnerable to.
+/// enable arrives, even when the data pin is still settling. The max
+/// plane's "always enabled" reading would drop that arc, because a
+/// statically-enabled buffer's enable never transitions; for min analysis
+/// that is unsound and hides exactly the short paths the Razor shadow
+/// window is vulnerable to.
 struct CornerTiming {
   std::string name;
   std::vector<double> min_arrival_ps;
@@ -56,21 +47,15 @@ struct CornerTiming {
   double earliest_output_ps = 0.0;
 };
 
-/// One `StaEngine::run`: per-corner min/max arrivals, corners in call order.
-struct MinMaxStaResult {
-  std::vector<CornerTiming> corners;
-};
-
-/// Levelized, struct-of-arrays min/max static timing engine.
+/// The one min/max static timing analyzer.
 ///
 /// Construction validates the netlist (cell kinds in the library, pin
-/// windows in bounds, topological net order) and builds a level schedule —
-/// gates grouped by topological level, level-major — plus a flat per-gate
+/// windows in bounds, topological net order) and builds a flat per-gate
 /// nominal-delay table. A `run` then propagates the earliest and latest
-/// arrival of every net across *all* requested corners in one traversal of
-/// that schedule: the per-corner arrival planes are separate flat arrays
-/// (struct-of-arrays), and each gate is visited exactly once with an inner
-/// corner loop, so adding corners costs arithmetic, not graph walks.
+/// arrival of every net, one corner after another, each in one sweep in
+/// gate-id order — the topological order the netlist guarantees and the
+/// timing simulator and batch kernel also walk. The per-corner arrival
+/// planes are separate flat arrays.
 ///
 /// Throws std::invalid_argument from the constructor when the netlist is
 /// structurally broken; lint rules rely on that (the LintEngine converts a
@@ -79,18 +64,16 @@ class StaEngine {
  public:
   StaEngine(const Netlist& netlist, const TechLibrary& tech);
 
-  /// Min/max arrivals for every corner in one levelized pass. Each corner's
+  /// Min/max arrivals of every corner, in call order. Each corner's
   /// `gate_delay_scale` must be empty or sized one-per-gate (throws
   /// std::invalid_argument otherwise).
-  MinMaxStaResult run(std::span<const StaCorner> corners) const;
-
-  /// Single-corner convenience.
-  CornerTiming run_corner(const StaCorner& corner) const;
+  std::vector<CornerTiming> run(std::span<const StaCorner> corners) const;
 
   /// Downstream path-delay bounds from every net to a set of endpoint nets:
   /// `min_ps[n]` / `max_ps[n]` are the shortest / longest additional delay
-  /// from a transition on net `n` to any endpoint (0 when `n` itself is an
-  /// endpoint, +inf / -inf when no endpoint is reachable). Combined with
+  /// from a transition on net `n` to any endpoint (`min_ps` is 0 at an
+  /// endpoint; `max_ps` there is 0 or the longest path to an endpoint
+  /// further down; +inf / -inf when no endpoint is reachable). Combined with
   /// `run`'s forward arrivals this gives per-edge hold and setup slacks —
   /// what the hold-repair pass uses to prove a delay buffer is safe to
   /// insert. `endpoint_net` holds one flag per net.
@@ -101,35 +84,12 @@ class StaEngine {
   Downstream downstream(const StaCorner& corner,
                         std::span<const std::uint8_t> endpoint_net) const;
 
-  int num_levels() const noexcept { return num_levels_; }
-  /// Gates of one topological level, ascending gate id within the level.
-  std::span<const GateId> level_gates(int level) const;
-
-  const Netlist& netlist() const noexcept { return *netlist_; }
-
  private:
   void check_corner(const StaCorner& corner) const;
   CornerTiming forward(const StaCorner& corner) const;
 
   const Netlist* netlist_;
-  const TechLibrary* tech_;
-  std::vector<double> base_delay_ps_;   // per gate, nominal library delay
-  std::vector<GateId> level_order_;     // gates, level-major
-  std::vector<std::uint32_t> level_begin_;  // size num_levels_ + 1
-  int num_levels_ = 0;
+  std::vector<double> base_delay_ps_;  // per gate, nominal library delay
 };
-
-/// Legacy value-independent worst-case timing — the **max corner only**.
-/// Every gate's output arrival is max(input arrivals) + gate delay;
-/// tri-state buffers are treated as always enabled, which is a conservative
-/// worst case *for late settles only*. This entry point has no min-delay
-/// plane and must not be used for hold / short-path reasoning: a min
-/// analysis derived from the same always-enabled assumption would drop the
-/// tbuf enable arc and overestimate how slow the fastest path is. Use
-/// `StaEngine` (whose max plane is exactly `==` these numbers) wherever
-/// earliest arrivals matter. `gate_delay_scale`, if non-empty, gives a
-/// per-gate delay multiplier; it must have one entry per gate.
-StaResult run_sta(const Netlist& netlist, const TechLibrary& tech,
-                  std::span<const double> gate_delay_scale = {});
 
 }  // namespace agingsim

@@ -134,10 +134,13 @@ TEST(AdderTest, HoldProbabilityIsQuarterForTwoProbes) {
 
 TEST(AdderTest, ClaIsFasterThanRca) {
   const TechLibrary& t = default_tech_library();
-  const double rca =
-      run_sta(build_ripple_carry_adder(32).netlist, t).critical_path_ps;
-  const double cla =
-      run_sta(build_carry_lookahead_adder(32).netlist, t).critical_path_ps;
+  const StaCorner fresh;
+  const double rca = StaEngine(build_ripple_carry_adder(32).netlist, t)
+                         .run({&fresh, 1})[0]
+                         .critical_path_ps;
+  const double cla = StaEngine(build_carry_lookahead_adder(32).netlist, t)
+                         .run({&fresh, 1})[0]
+                         .critical_path_ps;
   EXPECT_LT(cla, rca);
 }
 

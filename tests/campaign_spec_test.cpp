@@ -189,11 +189,12 @@ TEST(CampaignSpecTest, NarrowWidthsBuildAndRunOneTrial) {
 
 // --- agingd's JSON front-end ------------------------------------------------
 
-serve::HandlerResult campaign_request(const std::string& params_json) {
+serve::HandlerResult service_request(const std::string& params_json,
+                                     const std::string& method = "campaign") {
   serve::Service service(serve::ServiceConfig{}, nullptr);
   serve::Request request;
   request.id = 1;
-  request.method = "campaign";
+  request.method = method;
   const auto params = serve::parse_json(params_json);
   EXPECT_TRUE(params.has_value()) << params_json;
   request.params = params.value_or(serve::JsonValue{});
@@ -219,16 +220,30 @@ TEST(CampaignSpecTest, ServiceRejectsWrongKindedMembers) {
       R"({"trials": 5000})",      // past ServiceLimits::max_trials
       R"({"ops": 200001})",       // past ServiceLimits::max_ops
   };
-  for (const char* params : bad) {
-    const serve::HandlerResult result = campaign_request(params);
+  // agingd's query params are read as strictly: no member silently falls
+  // back to its default.
+  const char* bad_query[] = {
+      R"({"width": "8"})",
+      R"({"width": 8.5})",
+      R"({"adaptive": 1})",
+      R"({"seed": -1})",
+  };
+  const auto expect_bad_request = [](const serve::HandlerResult& result,
+                                     const char* params) {
     EXPECT_FALSE(result.ok) << params;
     EXPECT_EQ(result.code, serve::ErrorCode::kBadRequest) << params;
     EXPECT_FALSE(result.message.empty()) << params;
+  };
+  for (const char* params : bad) {
+    expect_bad_request(service_request(params), params);
+  }
+  for (const char* params : bad_query) {
+    expect_bad_request(service_request(params, "query"), params);
   }
 }
 
 TEST(CampaignSpecTest, ServiceAndSetupReportTheSameStats) {
-  const serve::HandlerResult served = campaign_request(
+  const serve::HandlerResult served = service_request(
       R"({"arch": "rb", "width": 6, "trials": 2, "ops": 48, "seed": 77,
           "kind": "transient"})");
   ASSERT_TRUE(served.ok) << served.message;

@@ -25,6 +25,7 @@
 #include "src/sim/sta.hpp"
 #include "src/sim/timing_sim.hpp"
 #include "src/workload/rng.hpp"
+#include "tests/sta_oracle.hpp"
 #include "tests/stress_oracle.hpp"
 
 namespace agingsim {
@@ -110,12 +111,14 @@ TEST(FuzzTest, SensitizedArrivalsNeverExceedSta) {
   Rng rng(0xF023);
   for (int trial = 0; trial < 25; ++trial) {
     const Netlist nl = random_netlist(rng, 5, 80);
-    const StaResult sta = run_sta(nl, default_tech_library());
+    const StaCorner fresh;
+    const CornerTiming sta =
+        StaEngine(nl, default_tech_library()).run({&fresh, 1})[0];
     // settle_ps spans *all* nets; random netlists have dead-end logic
     // deeper than any marked output, so bound it by the deepest net, not
     // by the output-only critical path.
     double deepest = 0.0;
-    for (double a : sta.arrival_ps) deepest = std::max(deepest, a);
+    for (double a : sta.max_arrival_ps) deepest = std::max(deepest, a);
     TimingSim sim(nl, default_tech_library());
     std::vector<Logic> pattern(nl.num_inputs());
     for (int step = 0; step < 20; ++step) {
@@ -124,7 +127,7 @@ TEST(FuzzTest, SensitizedArrivalsNeverExceedSta) {
       EXPECT_LE(r.settle_ps, deepest + 1e-9);
       EXPECT_LE(r.output_settle_ps, sta.critical_path_ps + 1e-9);
       for (NetId n = 0; n < nl.num_nets(); ++n) {
-        EXPECT_LE(sim.arrival(n), sta.arrival_ps[n] + 1e-9) << n;
+        EXPECT_LE(sim.arrival(n), sta.max_arrival_ps[n] + 1e-9) << n;
       }
     }
   }
@@ -296,6 +299,54 @@ TEST(FuzzTest, BatchKernelMatchesDenseOnRandomNetlists) {
   }
   // The shape this test exists for actually occurred.
   EXPECT_GT(keepers_holding_x, 0);
+}
+
+// StaEngine against the scalar reference (tests/sta_oracle.hpp) on the
+// differential netlists: tie cells (no fanin), tri-states, unread nets and
+// primary inputs as outputs. Several corners per run — fresh, aged and one
+// with zeroed gates — and a random endpoint set for the downstream bounds;
+// every number must match with operator==.
+TEST(FuzzTest, StaEngineMatchesReferenceOnRandomNetlists) {
+  Rng rng(0xF02C);
+  const TechLibrary& tech = default_tech_library();
+  for (int trial = 0; trial < 60; ++trial) {
+    const Netlist nl = differential_netlist(rng, 7, 90);
+    std::vector<StaCorner> corners(3);
+    corners[1].gate_delay_scale.resize(nl.num_gates());
+    for (double& s : corners[1].gate_delay_scale) {
+      s = 1.0 + 0.5 * rng.next_double();
+    }
+    corners[2].gate_delay_scale.assign(nl.num_gates(), 1.0);
+    for (double& s : corners[2].gate_delay_scale) {
+      if (rng.next_below(8) == 0) s = 0.0;
+    }
+    std::vector<std::uint8_t> endpoint(nl.num_nets(), 0);
+    for (std::uint8_t& e : endpoint) e = rng.next_below(6) == 0 ? 1 : 0;
+
+    const StaEngine engine(nl, tech);
+    const std::vector<CornerTiming> timing = engine.run(corners);
+    ASSERT_EQ(timing.size(), corners.size());
+    for (std::size_t c = 0; c < corners.size(); ++c) {
+      const auto ref =
+          testing_oracle::reference_sta(nl, tech, corners[c].gate_delay_scale);
+      EXPECT_EQ(timing[c].min_arrival_ps, ref.min_arrival_ps)
+          << "trial " << trial << " corner " << c;
+      EXPECT_EQ(timing[c].max_arrival_ps, ref.max_arrival_ps)
+          << "trial " << trial << " corner " << c;
+      EXPECT_EQ(timing[c].critical_path_ps, ref.critical_path_ps);
+      EXPECT_EQ(timing[c].earliest_output_ps, ref.earliest_output_ps);
+
+      const StaEngine::Downstream down =
+          engine.downstream(corners[c], endpoint);
+      const auto ref_down = testing_oracle::reference_downstream(
+          nl, tech, corners[c].gate_delay_scale, endpoint);
+      EXPECT_EQ(down.min_ps, ref_down.min_ps)
+          << "trial " << trial << " corner " << c;
+      EXPECT_EQ(down.max_ps, ref_down.max_ps)
+          << "trial " << trial << " corner " << c;
+    }
+    if (testing::Test::HasFailure()) return;
+  }
 }
 
 TEST(FuzzTest, BatchKernelMatchesDenseAcrossOverlaySwaps) {
@@ -601,13 +652,14 @@ TEST(FuzzTest, LintFlagsSeveredRazorTapOnRandomNetlists) {
   int effective = 0;
   for (int trial = 0; trial < 20; ++trial) {
     const Netlist nl = random_netlist(rng, 6, 60);
-    const StaResult sta = run_sta(nl, tech);
+    const StaCorner fresh;
+    const CornerTiming sta = StaEngine(nl, tech).run({&fresh, 1})[0];
     // Victim: the output with the deepest arrival (must be late enough that
     // halving its arrival still leaves it past the period).
     std::size_t victim = 0;
     double worst = 0.0;
     for (std::size_t i = 0; i < nl.num_outputs(); ++i) {
-      const double a = sta.arrival_ps[nl.output_nets()[i]];
+      const double a = sta.max_arrival_ps[nl.output_nets()[i]];
       if (a > worst) {
         worst = a;
         victim = i;

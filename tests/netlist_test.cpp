@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
+
+#include "src/aging/variation.hpp"
 
 namespace agingsim {
 namespace {
@@ -71,26 +74,8 @@ TEST(NetlistTest, TransistorCountSumsTraits) {
   EXPECT_EQ(counts[static_cast<std::size_t>(CellKind::kAnd2)], 0u);
 }
 
-TEST(NetlistTest, FanoutListsEveryConsumerInGateOrder) {
-  Netlist nl;
-  const NetId a = nl.add_input("a");
-  const NetId b = nl.add_input("b");
-  const NetId y = nl.add_gate(CellKind::kAnd2, {a, b});   // gate 0
-  const NetId z = nl.add_gate(CellKind::kXor2, {a, y});   // gate 1
-  nl.add_gate(CellKind::kNand2, {a, a});                  // gate 2: a twice
-  const auto fa = nl.fanout(a);
-  ASSERT_EQ(fa.size(), 4u);  // one entry per pin, duplicates included
-  EXPECT_EQ(fa[0], 0);
-  EXPECT_EQ(fa[1], 1);
-  EXPECT_EQ(fa[2], 2);
-  EXPECT_EQ(fa[3], 2);
-  const auto fy = nl.fanout(y);
-  ASSERT_EQ(fy.size(), 1u);
-  EXPECT_EQ(fy[0], 1);
-  EXPECT_TRUE(nl.fanout(z).empty());
-  EXPECT_THROW(nl.fanout(NetId{99}), std::invalid_argument);
-}
-
+// Topological levels are the coordinate of the correlated-variation grid
+// (src/aging/variation.hpp); these two cases pin their semantics.
 TEST(NetlistTest, LevelsAreLongestPathFromInputs) {
   Netlist nl;
   const NetId a = nl.add_input("a");
@@ -98,33 +83,27 @@ TEST(NetlistTest, LevelsAreLongestPathFromInputs) {
   const NetId y = nl.add_gate(CellKind::kAnd2, {a, b});  // level 0
   const NetId z = nl.add_gate(CellKind::kInv, {y});      // level 1
   nl.add_gate(CellKind::kXor2, {a, z});                  // level 2 (via z)
-  EXPECT_EQ(nl.level(0), 0);
-  EXPECT_EQ(nl.level(1), 1);
-  EXPECT_EQ(nl.level(2), 2);
-  EXPECT_EQ(nl.depth(), 3);
-  EXPECT_THROW(nl.level(GateId{42}), std::invalid_argument);
-}
-
-TEST(NetlistTest, IndexRebuiltAfterStructuralChange) {
-  Netlist nl;
-  const NetId a = nl.add_input("a");
-  const NetId b = nl.add_input("b");
-  const NetId y = nl.add_gate(CellKind::kAnd2, {a, b});
-  EXPECT_EQ(nl.fanout(a).size(), 1u);  // builds the index
-  EXPECT_EQ(nl.depth(), 1);
-  nl.add_gate(CellKind::kXor2, {a, y});  // invalidates it
-  const auto fa = nl.fanout(a);
-  ASSERT_EQ(fa.size(), 2u);
-  EXPECT_EQ(fa[1], 1);
-  EXPECT_EQ(nl.level(1), 1);
-  EXPECT_EQ(nl.depth(), 2);
+  nl.add_gate(CellKind::kTie1, {});                      // level 0, no fanin
+  EXPECT_EQ(topological_levels(nl), (std::vector<int>{0, 1, 2, 0}));
+  // With only the grid term and one level per node, a gate's scale is its
+  // level's node: equal levels share it, distinct levels do not.
+  const VariationModel grid_only{.sigma_random = 0.0,
+                                 .sigma_grid = 0.5,
+                                 .grid_levels = 1,
+                                 .sigma_die = 0.0};
+  const std::vector<double> s = correlated_variation_scales(nl, grid_only, 7);
+  EXPECT_EQ(s[0], s[3]);
+  EXPECT_NE(s[0], s[1]);
+  EXPECT_NE(s[1], s[2]);
+  EXPECT_NE(s[0], s[2]);
 }
 
 TEST(NetlistTest, EmptyNetlistHasZeroDepth) {
   Netlist nl;
-  EXPECT_EQ(nl.depth(), 0);
+  EXPECT_TRUE(topological_levels(nl).empty());
   nl.add_input("a");
-  EXPECT_EQ(nl.depth(), 0);  // inputs alone add no logic levels
+  EXPECT_TRUE(topological_levels(nl).empty());  // inputs add no levels
+  EXPECT_TRUE(correlated_variation_scales(nl, VariationModel{}, 1).empty());
 }
 
 TEST(NetlistTest, ValidatePassesOnWellFormedNetlist) {

@@ -4,9 +4,9 @@
 
 #include <vector>
 
+#include "src/core/vl_multiplier.hpp"
 #include "src/multiplier/multiplier.hpp"
 #include "src/netlist/builder.hpp"
-#include "src/sim/sta.hpp"
 #include "src/workload/patterns.hpp"
 
 namespace agingsim {
@@ -156,7 +156,7 @@ TEST(TimingSimTest, RejectsBadAgingOverlay) {
 TEST(TimingSimTest, SensitizedDelayBoundedBySta) {
   const MultiplierNetlist m = build_column_bypass_multiplier(8);
   const TechLibrary& t = default_tech_library();
-  const double sta = run_sta(m.netlist, t).critical_path_ps;
+  const double sta = critical_path_ps(m, t);
   MultiplierSim sim(m, t);
   Rng rng(7);
   for (int i = 0; i < 500; ++i) {
