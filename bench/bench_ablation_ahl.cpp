@@ -22,12 +22,15 @@ static int bench_body() {
   const MultiplierNetlist cb = build_column_bypass_multiplier(16);
   const double crit = critical_path_ps(cb, t);
   const auto pats = workload(16, default_ops());
-  const auto trace = compute_op_trace(cb, t, pats);
 
+  // Fresh and year 7 are two aging corners of one multi-corner trace.
   const BtiModel model = BtiModel::calibrated(t);
   AgingScenario scenario(cb.netlist, t, model, 0xAB1A, 1000);
   const auto aged_scales = scenario.delay_scales_at(7.0);
-  const auto aged_trace = compute_op_trace(cb, t, pats, aged_scales);
+  const std::span<const double> corners[] = {{}, aged_scales};
+  const auto traces = compute_op_trace(cb, t, pats, corners);
+  const std::vector<OpTrace>& trace = traces[0];
+  const std::vector<OpTrace>& aged_trace = traces[1];
   const double aged_dvth = scenario.mean_dvth_at(7.0);
 
   // --- A: sensitized timing vs STA-everywhere ------------------------------

@@ -1,9 +1,10 @@
 // Micro-benchmarks for the simulation substrate itself, reported as JSON on
 // stdout: netlist construction, static timing, step-kernel throughput
 // (the 64-lane batch kernel vs the dense scalar oracle, with the batch
-// kernel's evaluated-word fraction and lane-state heap), the architectural
-// policy replay, and
-// parallel sweep scaling across thread counts. This is the repo's perf
+// kernel's evaluated-word fraction and lane-state heap), K aging corners
+// per sweep (corner-steps/s at K = 1 and K = kMaxSweepCorners), the
+// architectural policy replay, and parallel sweep scaling across thread
+// counts. This is the repo's perf
 // trajectory baseline — run it before and after touching the hot paths.
 //
 // Knobs: AGINGSIM_BENCH_OPS caps the per-config operation count (CI smoke
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "bench/common.hpp"
+#include "src/aging/variation.hpp"
 #include "src/report/json.hpp"
 
 using namespace agingsim;
@@ -48,7 +50,6 @@ struct KernelNumbers {
   double steps_per_sec = 0.0;
   double evaluated_fraction = 1.0;  // batch: evaluated gates / dense words
   std::uint64_t checksum = 0;       // xor of products: cross-kernel check
-  double replay_fraction = 0.0;     // batch kernel only: audited lanes
   std::size_t state_bytes = 0;      // batch kernel only: lane-state heap
 };
 
@@ -106,7 +107,6 @@ KernelNumbers run_batch(const MultiplierNetlist& m,
                             static_cast<double>(dense_equiv)
                       : 1.0;
   out.checksum = checksum;
-  out.replay_fraction = stats.replay_fraction();
   out.state_bytes = sim.state_bytes();
   return out;
 }
@@ -178,7 +178,6 @@ static int bench_body() {
                      : 0.0);
       json.key("batch_evaluated_word_fraction")
           .value(batch.evaluated_fraction);
-      json.key("batch_replay_fraction").value(batch.replay_fraction);
       json.key("batch_state_bytes")
           .value(static_cast<std::uint64_t>(batch.state_bytes));
       json.key("products_identical").value(dense.checksum == batch.checksum);
@@ -187,6 +186,47 @@ static int bench_body() {
   }
   json.end_array();
   json.key("batch_lane_backend").value(BatchTimingSim::lane_backend());
+
+  // --- Aging corners per sweep -------------------------------------------
+  // One CB16 uniform stream timed under K process-variation corners by one
+  // multi-corner trace (the shape of an MC seed block). corner-steps/s
+  // counts patterns x corners; the per-corner gain of K = kMaxSweepCorners
+  // over K = 1 is what sharing the value sweep buys.
+  {
+    const MultiplierNetlist m = build_column_bypass_multiplier(16);
+    const auto pats = workload(16, ops);
+    std::vector<std::vector<double>> tables;
+    for (int c = 0; c < kMaxSweepCorners; ++c) {
+      tables.push_back(process_variation_scales(
+          m.netlist, 0.06, static_cast<std::uint64_t>(c)));
+    }
+    double single_rate = 0.0;
+    json.key("multi_corner").begin_array();
+    for (const int k : {1, kMaxSweepCorners}) {
+      const std::vector<std::span<const double>> corners(
+          tables.begin(), tables.begin() + k);
+      const double ms = time_best_ms(3, [&] {
+        (void)compute_op_trace(m, tech(), pats, corners);
+      });
+      const double rate =
+          ms > 0.0 ? 1000.0 * static_cast<double>(pats.size() * k) / ms
+                   : 0.0;
+      if (k == 1) single_rate = rate;
+      BatchTimingSim sim(m.netlist, tech());
+      sim.set_corners(corners);
+      json.begin_object();
+      json.key("multiplier").value("CB16");
+      json.key("workload").value("uniform");
+      json.key("corners").value(k);
+      json.key("corner_steps_per_sec").value(rate);
+      json.key("gain_per_corner_vs_k1")
+          .value(single_rate > 0.0 ? rate / single_rate : 0.0);
+      json.key("state_bytes")
+          .value(static_cast<std::uint64_t>(sim.state_bytes()));
+      json.end_object();
+    }
+    json.end_array();
+  }
 
   // --- Batch kernel thread scaling -------------------------------------
   // Independent batch traces fanned over explicit pools (the shape of a

@@ -53,7 +53,7 @@ long long_or(const char* name, long fallback, long min_value,
 std::optional<std::string> str_var(const char* name);
 
 /// Reads `name` as a strict finite double >= min_value, with the same
-/// warn-once-and-fall-back contract as long_or (AGINGSIM_BATCH_GUARD_PS).
+/// warn-once-and-fall-back contract as long_or (AGINGSIM_SERVE_QUOTA_RATE).
 double double_or(const char* name, double fallback, double min_value);
 
 }  // namespace agingsim::env

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "src/core/env.hpp"
 #include "src/sim/sta.hpp"
 #include "src/workload/rng.hpp"
 
@@ -42,61 +41,87 @@ std::string to_hex(std::uint64_t v) {
 
 }  // namespace
 
+std::vector<std::vector<OpTrace>> compute_op_trace(
+    const MultiplierNetlist& mult, const TechLibrary& tech,
+    std::span<const OperandPattern> patterns,
+    std::span<const std::span<const double>> corners,
+    const TraceOptions& options) {
+  if (!options.gate_delay_scale.empty()) {
+    throw std::invalid_argument(
+        "compute_op_trace: pass aging as corners, not gate_delay_scale");
+  }
+  std::vector<std::vector<OpTrace>> traces(corners.size());
+  for (std::vector<OpTrace>& trace : traces) trace.reserve(patterns.size());
+  BatchStats total;
+  std::vector<std::uint64_t> words(mult.netlist.input_nets().size());
+  for (std::size_t first = 0; first < corners.size();
+       first += static_cast<std::size_t>(kMaxSweepCorners)) {
+    const std::size_t k = std::min<std::size_t>(
+        kMaxSweepCorners, corners.size() - first);
+    BatchTimingSim sim(mult.netlist, tech);
+    sim.set_corners(corners.subspan(first, k));
+    if (options.faults != nullptr) sim.set_fault_overlay(options.faults);
+
+    OpTrace prev;
+    for (std::size_t chunk = 0; chunk < patterns.size();
+         chunk += static_cast<std::size_t>(kBatchLanes)) {
+      const int lanes = static_cast<int>(
+          std::min<std::size_t>(kBatchLanes, patterns.size() - chunk));
+      std::fill(words.begin(), words.end(), 0);
+      for (int l = 0; l < lanes; ++l) {
+        const OperandPattern& pat =
+            patterns[chunk + static_cast<std::size_t>(l)];
+        sim.load_bus_lane(words, pat.a, mult.width, mult.a_first_input, l);
+        sim.load_bus_lane(words, pat.b, mult.width, mult.b_first_input, l);
+      }
+      const std::int64_t base = sim.steps();
+      const std::span<const StepResult> results = sim.step_word(words, lanes);
+      for (int l = 0; l < lanes; ++l) {
+        const std::size_t index = chunk + static_cast<std::size_t>(l);
+        const OperandPattern& pat = patterns[index];
+        const StepResult& step = results[static_cast<std::size_t>(l)];
+        OpTrace op;
+        op.a = pat.a;
+        op.b = pat.b;
+        op.product = sim.output_bits(l);
+        op.golden = reference_multiply(pat.a, pat.b, mult.width);
+        op.correct = (op.product == op.golden);
+        op.fault_active =
+            options.faults != nullptr && options.faults->active_at(base + l);
+        op.switched_cap_ff = step.switched_cap_ff;
+        if (index > 0) {
+          op.in_toggles = std::popcount(pat.a ^ prev.a) +
+                          std::popcount(pat.b ^ prev.b);
+          op.out_toggles = std::popcount(op.product ^ prev.product);
+        }
+        if (!op.correct && options.faults == nullptr) {
+          throw_product_mismatch(index, pat.a, pat.b, op.golden, op.product);
+        }
+        for (std::size_t c = 0; c < k; ++c) {
+          op.delay_ps = sim.results(c)[static_cast<std::size_t>(l)]
+                            .output_settle_ps;
+          traces[first + c].push_back(op);
+        }
+        prev = op;
+      }
+    }
+    total.words += sim.stats().words;
+    total.corner_words += sim.stats().corner_words;
+    total.lanes += sim.stats().lanes;
+    total.gates_evaluated += sim.stats().gates_evaluated;
+  }
+  if (options.batch_stats != nullptr) *options.batch_stats = total;
+  return traces;
+}
+
 std::vector<OpTrace> compute_op_trace(const MultiplierNetlist& mult,
                                       const TechLibrary& tech,
                                       std::span<const OperandPattern> patterns,
                                       const TraceOptions& options) {
-  BatchTimingSim sim(mult.netlist, tech, options.gate_delay_scale);
-  if (options.faults != nullptr) sim.set_fault_overlay(options.faults);
-  const double guard =
-      options.batch_guard_ps >= 0.0
-          ? options.batch_guard_ps
-          : env::double_or("AGINGSIM_BATCH_GUARD_PS", 0.0, 0.0);
-  sim.set_timing_audit(options.timing_audit_thresholds_ps, guard);
-
-  std::vector<OpTrace> trace;
-  trace.reserve(patterns.size());
-  std::vector<std::uint64_t> words(mult.netlist.input_nets().size());
-  for (std::size_t chunk = 0; chunk < patterns.size();
-       chunk += static_cast<std::size_t>(kBatchLanes)) {
-    const int lanes = static_cast<int>(
-        std::min<std::size_t>(kBatchLanes, patterns.size() - chunk));
-    std::fill(words.begin(), words.end(), 0);
-    for (int l = 0; l < lanes; ++l) {
-      const OperandPattern& pat = patterns[chunk + static_cast<std::size_t>(l)];
-      sim.load_bus_lane(words, pat.a, mult.width, mult.a_first_input, l);
-      sim.load_bus_lane(words, pat.b, mult.width, mult.b_first_input, l);
-    }
-    const std::int64_t base = sim.steps();
-    const std::span<const StepResult> results = sim.step_word(words, lanes);
-    for (int l = 0; l < lanes; ++l) {
-      const OperandPattern& pat = patterns[chunk + static_cast<std::size_t>(l)];
-      const StepResult& step = results[static_cast<std::size_t>(l)];
-      OpTrace op;
-      op.a = pat.a;
-      op.b = pat.b;
-      op.product = sim.output_bits(l);
-      op.golden = reference_multiply(pat.a, pat.b, mult.width);
-      op.correct = (op.product == op.golden);
-      op.fault_active =
-          options.faults != nullptr && options.faults->active_at(base + l);
-      op.delay_ps = step.output_settle_ps;
-      op.switched_cap_ff = step.switched_cap_ff;
-      if (!trace.empty()) {
-        const OpTrace& prev = trace.back();
-        op.in_toggles = std::popcount(pat.a ^ prev.a) +
-                        std::popcount(pat.b ^ prev.b);
-        op.out_toggles = std::popcount(op.product ^ prev.product);
-      }
-      if (!op.correct && options.faults == nullptr) {
-        throw_product_mismatch(trace.size(), pat.a, pat.b, op.golden,
-                               op.product);
-      }
-      trace.push_back(op);
-    }
-  }
-  if (options.batch_stats != nullptr) *options.batch_stats = sim.stats();
-  return trace;
+  TraceOptions rest = options;
+  rest.gate_delay_scale = {};
+  return std::move(compute_op_trace(mult, tech, patterns,
+                                    {&options.gate_delay_scale, 1}, rest)[0]);
 }
 
 std::vector<OpTrace> compute_op_trace(

@@ -44,31 +44,35 @@ struct TraceOptions {
   /// (`OpTrace::correct`) instead of thrown — wrong products are the very
   /// thing a fault campaign measures.
   const FaultOverlay* faults = nullptr;
-  /// Scalar-replay self-audit of the batch kernel: lanes whose settled
-  /// delay lands within the guard margin of any of these decision
-  /// thresholds (cycle period, 2x period, ...) are replayed through the
-  /// scalar TimingSim and cross-checked.
-  std::span<const double> timing_audit_thresholds_ps = {};
-  /// Guard margin in ps; negative means "read AGINGSIM_BATCH_GUARD_PS"
-  /// (default 0 = audit off).
-  double batch_guard_ps = -1.0;
-  /// If non-null, receives the batch kernel's counters (words, lanes,
-  /// replayed lanes, ...) after the trace.
+  /// If non-null, receives the batch kernel's counters (words, lanes, ...)
+  /// after the trace.
   BatchStats* batch_stats = nullptr;
 };
 
 /// Runs the 64-lane batch timing kernel (src/sim/batch_sim.hpp) over
-/// `patterns` and returns the per-op trace — bit-identical to stepping the
-/// scalar TimingSim one pattern at a time. Every product is checked against the golden reference multiply;
-/// without a fault overlay a mismatch throws std::logic_error carrying the
-/// pattern index, operands and expected/actual products (the trace
-/// generator doubles as an end-to-end correctness oracle).
+/// `patterns` once per aging corner and returns one per-op trace per
+/// corner, in corner order — each bit-identical to stepping the scalar
+/// TimingSim one pattern at a time under that corner. An empty corner is
+/// the fresh circuit. Values, products, toggles and switched capacitance
+/// are swept once per kMaxSweepCorners corners; only the delays are timed
+/// per corner. `options.gate_delay_scale` must be empty (the corners
+/// replace it). Every product is checked against the golden reference
+/// multiply; without a fault overlay a mismatch throws std::logic_error
+/// carrying the pattern index, operands and expected/actual products (the
+/// trace generator doubles as an end-to-end correctness oracle).
+std::vector<std::vector<OpTrace>> compute_op_trace(
+    const MultiplierNetlist& mult, const TechLibrary& tech,
+    std::span<const OperandPattern> patterns,
+    std::span<const std::span<const double>> corners,
+    const TraceOptions& options = {});
+
+/// One corner: `options.gate_delay_scale`.
 std::vector<OpTrace> compute_op_trace(const MultiplierNetlist& mult,
                                       const TechLibrary& tech,
                                       std::span<const OperandPattern> patterns,
                                       const TraceOptions& options);
 
-/// Back-compat convenience: aging overlay only, throwing golden check.
+/// One corner, aging overlay only, throwing golden check.
 std::vector<OpTrace> compute_op_trace(
     const MultiplierNetlist& mult, const TechLibrary& tech,
     std::span<const OperandPattern> patterns,

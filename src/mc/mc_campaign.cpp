@@ -146,44 +146,48 @@ std::vector<std::vector<double>> McCampaign::trial_scales(
   return out;
 }
 
-std::vector<McTrialRecord> McCampaign::compute_trial(
-    std::size_t arch_index, std::uint64_t trial) const {
-  const ArchContext& arch = arch_contexts_[arch_index];
-  std::vector<McTrialRecord> out;
-  out.reserve(config_.years.size());
-  for (const std::vector<double>& scales : trial_scales(arch_index, trial)) {
-    const auto trace = compute_op_trace(arch.mult, *tech_, patterns_, scales);
-    McTrialRecord rec;
-    std::uint64_t violations = 0;
-    for (const OpTrace& op : trace) {
-      rec.max_delay_ps = std::max(rec.max_delay_ps, op.delay_ps);
-      if (op.delay_ps > arch.period_ps) ++violations;
-    }
-    rec.errors_per_10k = static_cast<double>(violations) * 10000.0 /
-                         static_cast<double>(trace.size());
-    out.push_back(rec);
-  }
-  return out;
-}
-
 std::vector<McTrialRecord> McCampaign::compute_block(std::size_t arch_index,
                                                      std::size_t block) const {
   obs::TraceSpan span("mc.block", block);
-  (void)arch_contexts_.at(arch_index);  // bounds-check before the loop
+  const ArchContext& arch = arch_contexts_.at(arch_index);
   const std::uint64_t first =
       static_cast<std::uint64_t>(block) *
       static_cast<std::uint64_t>(config_.block);
   const std::uint64_t last =
       std::min(first + static_cast<std::uint64_t>(config_.block),
                static_cast<std::uint64_t>(config_.trials));
+  // Every (trial, year) overlay of the block is an aging corner of one
+  // shared op trace, so the block's values are swept once per
+  // kMaxSweepCorners corners. Trials are gathered in groups that fill one
+  // sweep, which bounds the overlays and traces held at once.
+  const std::size_t years = config_.years.size();
+  const std::uint64_t group = std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(kMaxSweepCorners) / years);
   std::vector<McTrialRecord> records;
-  records.reserve(static_cast<std::size_t>(last - first) *
-                  config_.years.size());
-  for (std::uint64_t t = first; t < last; ++t) {
-    const auto trial_records = compute_trial(arch_index, t);
-    records.insert(records.end(), trial_records.begin(), trial_records.end());
-    mc_metrics().trials.add();
+  records.reserve(static_cast<std::size_t>(last - first) * years);
+  for (std::uint64_t t0 = first; t0 < last; t0 += group) {
+    std::vector<std::vector<double>> scales;
+    for (std::uint64_t t = t0; t < std::min(t0 + group, last); ++t) {
+      for (std::vector<double>& s : trial_scales(arch_index, t)) {
+        scales.push_back(std::move(s));
+      }
+    }
+    const std::vector<std::span<const double>> corners(scales.begin(),
+                                                       scales.end());
+    for (const std::vector<OpTrace>& trace :
+         compute_op_trace(arch.mult, *tech_, patterns_, corners)) {
+      McTrialRecord rec;
+      std::uint64_t violations = 0;
+      for (const OpTrace& op : trace) {
+        rec.max_delay_ps = std::max(rec.max_delay_ps, op.delay_ps);
+        if (op.delay_ps > arch.period_ps) ++violations;
+      }
+      rec.errors_per_10k = static_cast<double>(violations) * 10000.0 /
+                           static_cast<double>(trace.size());
+      records.push_back(rec);
+    }
   }
+  mc_metrics().trials.add(last - first);
   mc_metrics().blocks.add();
   return records;
 }

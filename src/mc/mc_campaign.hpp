@@ -128,6 +128,8 @@ class McCampaign {
 
   /// Records of one seed block (exposed for tests): trials
   /// [block*cfg.block, min((block+1)*cfg.block, trials)) of `arch_index`.
+  /// Every (trial, year) overlay of the block is one aging corner of a
+  /// shared multi-corner op trace.
   std::vector<McTrialRecord> compute_block(std::size_t arch_index,
                                            std::size_t block) const;
 
@@ -155,9 +157,6 @@ class McCampaign {
 
  private:
   struct ArchContext;
-
-  std::vector<McTrialRecord> compute_trial(std::size_t arch_index,
-                                           std::uint64_t trial) const;
 
   const TechLibrary* tech_;
   McCampaignConfig config_;

@@ -340,25 +340,33 @@ HandlerResult Service::handle_campaign(const Request& request,
     return reject("ops must be in [1, " +
                   std::to_string(config_.limits.max_ops) + "]");
   }
-  const bool checkpoint =
-      params.bool_or("checkpoint", !config_.checkpoint_root.empty());
-
   // Streaming + resume (docs/SERVING.md). The cursor's unit_index counts
   // finished work units (unit 0 = baseline), so valid values span
   // [0, trials + 1]; its digest must match this campaign's — a cursor
   // from a different configuration is a client bug, not a tail to skip.
-  const bool stream = params.bool_or("stream", false);
-  const std::int64_t stream_every = params.i64_or("stream_every", 1);
+  bool checkpoint = !config_.checkpoint_root.empty();
+  bool stream = false;
+  std::int64_t stream_every = 1;
+  for (const std::optional<std::string>& bad :
+       {read_param(params, "checkpoint", checkpoint),
+        read_param(params, "stream", stream),
+        read_param(params, "stream_every", stream_every)}) {
+    if (bad.has_value()) return reject(*bad);
+  }
   if (stream_every < 1) return reject("stream_every must be >= 1");
   std::uint64_t cursor_units = 0;
   std::string cursor_digest;
   if (const JsonValue* rc = params.find("resume_cursor")) {
     if (!rc->is_object()) return reject("resume_cursor must be an object");
-    cursor_digest = rc->str_or("digest", "");
+    std::int64_t index = -1;
+    for (const std::optional<std::string>& bad :
+         {read_param(*rc, "digest", cursor_digest),
+          read_param(*rc, "unit_index", index)}) {
+      if (bad.has_value()) return reject("resume_cursor." + *bad);
+    }
     if (cursor_digest.empty()) {
       return reject("resume_cursor needs a string 'digest'");
     }
-    const std::int64_t index = rc->i64_or("unit_index", -1);
     if (index < 0 || index > spec.trials + 1) {
       return reject("resume_cursor.unit_index must be in [0, trials + 1]");
     }
@@ -470,7 +478,10 @@ HandlerResult Service::handle_campaign(const Request& request,
 HandlerResult Service::handle_work(const JsonValue& params,
                                    const runtime::CancelToken& cancel) {
   service_metrics().work.add();
-  const std::int64_t spin_us = params.i64_or("spin_us", 1000);
+  std::int64_t spin_us = 1000;
+  if (const auto bad = read_param(params, "spin_us", spin_us)) {
+    return bad_request(*bad);
+  }
   if (spin_us < 0 || spin_us > config_.limits.max_spin_us) {
     return bad_request("spin_us must be in [0, " +
                        std::to_string(config_.limits.max_spin_us) + "]");

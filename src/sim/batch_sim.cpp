@@ -1,6 +1,7 @@
 #include "src/sim/batch_sim.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
@@ -26,11 +27,9 @@ namespace {
 // kernel's SimMetrics).
 struct BatchMetrics {
   const obs::Counter& words = obs::counter("sim.batch.words");
+  const obs::Counter& corner_words = obs::counter("sim.batch.corner_words");
   const obs::Counter& lanes = obs::counter("sim.batch.lanes");
   const obs::Counter& gates = obs::counter("sim.batch.gates_evaluated");
-  const obs::Counter& replays = obs::counter("sim.batch.replayed_lanes");
-  const obs::Counter& mismatches =
-      obs::counter("sim.batch.audit_mismatches");
 };
 
 const BatchMetrics& batch_metrics() {
@@ -117,7 +116,6 @@ bool use_avx2_sweep() {
 BatchTimingSim::BatchTimingSim(const Netlist& netlist, const TechLibrary& tech,
                                std::span<const double> gate_delay_scale)
     : netlist_(&netlist), tech_(&tech) {
-  set_aging(gate_delay_scale);
   const std::size_t nets = netlist.num_nets();
   plane0_.assign(nets, 0);
   plane1_.assign(nets, 0);
@@ -125,21 +123,38 @@ BatchTimingSim::BatchTimingSim(const Netlist& netlist, const TechLibrary& tech,
   last_value_.assign(nets, Logic::kX);  // power-up: nothing driven yet
   const auto [density_slots, arrival_slots] =
       assign_lane_slots(netlist, density_slot_, arrival_slot_);
+  arrival_slots_ = arrival_slots;
   changed_.assign(density_slots, 0);
   active_.assign(density_slots, 0);
   density_.assign(std::size_t(density_slots) * kBatchLanes, 0.0f);
-  arrival_.assign(std::size_t(arrival_slots) * kBatchLanes, 0.0);
+  set_aging(gate_delay_scale);
 }
 
 void BatchTimingSim::set_aging(std::span<const double> gate_delay_scale) {
-  if (!gate_delay_scale.empty() &&
-      gate_delay_scale.size() != netlist_->num_gates()) {
+  set_corners({&gate_delay_scale, 1});
+}
+
+void BatchTimingSim::set_corners(
+    std::span<const std::span<const double>> corners) {
+  if (corners.empty() ||
+      corners.size() > static_cast<std::size_t>(kMaxSweepCorners)) {
     throw std::invalid_argument(
-        "BatchTimingSim::set_aging: need one multiplier per gate");
+        "BatchTimingSim::set_corners: need 1 to kMaxSweepCorners corners");
   }
-  aging_scale_.assign(gate_delay_scale.begin(), gate_delay_scale.end());
+  for (const std::span<const double> scale : corners) {
+    if (!scale.empty() && scale.size() != netlist_->num_gates()) {
+      throw std::invalid_argument(
+          "BatchTimingSim::set_corners: need one multiplier per gate");
+    }
+  }
+  corner_scales_.resize(corners.size());
+  for (std::size_t c = 0; c < corners.size(); ++c) {
+    corner_scales_[c].assign(corners[c].begin(), corners[c].end());
+  }
+  arrival_.assign(std::size_t(arrival_slots_) * corners.size() * kBatchLanes,
+                  0.0);
+  results_.assign(corners.size() * kBatchLanes, StepResult{});
   force_all_ = true;
-  if (audit_armed()) replay_sim_->set_aging(gate_delay_scale);
 }
 
 void BatchTimingSim::set_fault_overlay(const FaultOverlay* overlay) {
@@ -152,37 +167,18 @@ void BatchTimingSim::set_fault_overlay(const FaultOverlay* overlay) {
   // Installing or removing stuck-ats changes gate outputs without any fanin
   // edge; the next word sweeps every gate.
   force_all_ = true;
-  if (audit_armed()) replay_sim_->set_fault_overlay(overlay);
-}
-
-void BatchTimingSim::set_timing_audit(std::span<const double> thresholds_ps,
-                                      double guard_ps) {
-  if (guard_ps <= 0.0 || thresholds_ps.empty()) {
-    audit_thresholds_ps_.clear();
-    guard_ps_ = 0.0;
-    replay_sim_.reset();
-    word_start_value_ = {};
-    replay_state_ = {};
-    replay_inputs_ = {};
-    return;
-  }
-  audit_thresholds_ps_.assign(thresholds_ps.begin(), thresholds_ps.end());
-  guard_ps_ = guard_ps;
-  if (audit_armed()) return;
-  replay_sim_ = std::make_unique<TimingSim>(*netlist_, *tech_, aging_scale_);
-  replay_sim_->set_fault_overlay(overlay_);
-  replay_state_.assign(netlist_->num_nets(), Logic::kX);
-  replay_inputs_.assign(netlist_->num_inputs(), Logic::kX);
 }
 
 std::size_t BatchTimingSim::state_bytes() const noexcept {
   const auto bytes = [](const auto& v) {
     return v.capacity() * sizeof(v[0]);
   };
-  return bytes(aging_scale_) + bytes(plane0_) + bytes(plane1_) +
-         bytes(word_epoch_) + bytes(last_value_) + bytes(density_slot_) +
-         bytes(arrival_slot_) + bytes(changed_) + bytes(active_) +
-         bytes(density_) + bytes(arrival_);
+  std::size_t scales = 0;
+  for (const std::vector<double>& s : corner_scales_) scales += bytes(s);
+  return scales + bytes(plane0_) + bytes(plane1_) + bytes(word_epoch_) +
+         bytes(last_value_) + bytes(density_slot_) + bytes(arrival_slot_) +
+         bytes(changed_) + bytes(active_) + bytes(density_) +
+         bytes(arrival_);
 }
 
 std::span<const StepResult> BatchTimingSim::step_word(
@@ -196,8 +192,12 @@ std::span<const StepResult> BatchTimingSim::step_word(
         "BatchTimingSim::step_word: lanes must be in [1, 64]");
   }
   ++epoch_;
-  if (audit_armed()) word_start_value_ = last_value_;
-  for (int l = 0; l < lanes; ++l) results_[l] = StepResult{};
+  const int corners = static_cast<int>(corner_scales_.size());
+  for (int c = 0; c < corners; ++c) {
+    for (int l = 0; l < lanes; ++l) {
+      results_[std::size_t(c) * kBatchLanes + std::size_t(l)] = StepResult{};
+    }
+  }
 
   // Pre-scan transient strikes: lanes of this word they land in, plus the
   // cleanup spill — a strike on the last lane of the previous word must be
@@ -232,7 +232,12 @@ std::span<const StepResult> BatchTimingSim::step_word(
   detail::SweepContext ctx;
   ctx.netlist = netlist_;
   ctx.tech = tech_;
-  ctx.aging = aging_scale_.empty() ? nullptr : aging_scale_.data();
+  std::array<const double*, kMaxSweepCorners> aging{};
+  for (int c = 0; c < corners; ++c) {
+    if (!corner_scales_[c].empty()) aging[c] = corner_scales_[c].data();
+  }
+  ctx.aging = aging.data();
+  ctx.corners = corners;
   ctx.overlay = overlay_;
   ctx.epoch = epoch_;
   ctx.plane0 = plane0_.data();
@@ -263,61 +268,58 @@ std::span<const StepResult> BatchTimingSim::step_word(
   force_all_ = false;
   last_lanes_ = lanes;
 
-  // Output settle: max changed-output arrival per lane. Outputs stay live
-  // to the end of the sweep, so their slots still hold this word's lanes;
-  // a slotless output arrives at 0.0 (primary input) or at its driver's
-  // delay (driver reads only primary inputs) in every lane.
+  // Output settle: max changed-output arrival per lane and corner.
+  // Outputs stay live to the end of the sweep, so their slots still hold
+  // this word's lanes; a slotless output arrives at 0.0 (primary input) or
+  // at its driver's delay (driver reads only primary inputs) in every lane.
   for (NetId out : nl.output_nets()) {
     if (word_epoch_[out] != epoch_) continue;
     const std::uint64_t ch = changed_[density_slot_[out]];
     if (ch == 0) continue;
     const std::uint32_t aslot = arrival_slot_[out];
     const std::int32_t driver = nl.driver_of(out);
-    const double constant =
-        aslot != detail::kNoArrivalSlot || driver < 0
-            ? 0.0
-            : 0.0 + detail::gate_delay_ps(ctx, static_cast<GateId>(driver));
-    const double* arr = aslot == detail::kNoArrivalSlot
-                            ? nullptr
-                            : arrival_.data() + std::size_t(aslot) * kBatchLanes;
-    for (int l = 0; l < lanes; ++l) {
-      const double a = arr != nullptr ? arr[l] : constant;
-      if (((ch >> l) & 1u) != 0 && a > results_[l].output_settle_ps) {
-        results_[l].output_settle_ps = a;
+    for (int c = 0; c < corners; ++c) {
+      const double constant =
+          aslot != detail::kNoArrivalSlot || driver < 0
+              ? 0.0
+              : 0.0 + detail::gate_delay_ps(ctx, c,
+                                            static_cast<GateId>(driver));
+      const double* arr = aslot == detail::kNoArrivalSlot
+                              ? nullptr
+                              : detail::arrival_lanes(ctx, aslot, c);
+      StepResult* const res = results_.data() + std::size_t(c) * kBatchLanes;
+      for (int l = 0; l < lanes; ++l) {
+        const double a = arr != nullptr ? arr[l] : constant;
+        if (((ch >> l) & 1u) != 0 && a > res[l].output_settle_ps) {
+          res[l].output_settle_ps = a;
+        }
       }
     }
   }
 
+  const auto k = static_cast<std::uint64_t>(corners);
   stats_.words += 1;
+  stats_.corner_words += k;
   stats_.lanes += static_cast<std::uint64_t>(lanes);
   stats_.gates_evaluated += ctx.gates_processed;
-
-  replay_audit(input_bits, lanes);
 
   step_base_ += lanes;
   if (obs::metrics_enabled()) {
     const BatchMetrics& m = batch_metrics();
     m.words.add();
+    m.corner_words.add(k);
     m.lanes.add(static_cast<std::uint64_t>(lanes));
     m.gates.add(ctx.gates_processed);
   }
   return {results_.data(), static_cast<std::size_t>(lanes)};
 }
 
-void BatchTimingSim::state_at_lane(int lane, std::span<Logic> out) const {
-  if (lane < 0) {
-    std::copy(word_start_value_.begin(), word_start_value_.end(), out.begin());
-    return;
+std::span<const StepResult> BatchTimingSim::results(std::size_t corner) const {
+  if (corner >= corner_scales_.size()) {
+    throw std::out_of_range("BatchTimingSim::results: corner out of range");
   }
-  const std::size_t nets = netlist_->num_nets();
-  for (std::size_t n = 0; n < nets; ++n) {
-    if (word_epoch_[n] == epoch_) {
-      out[n] = static_cast<Logic>(((plane0_[n] >> lane) & 1u) |
-                                  (((plane1_[n] >> lane) & 1u) << 1));
-    } else {
-      out[n] = last_value_[n];  // never moved this word
-    }
-  }
+  return {results_.data() + corner * kBatchLanes,
+          static_cast<std::size_t>(last_lanes_)};
 }
 
 Logic BatchTimingSim::lane_value(NetId net, int lane) const {
@@ -362,59 +364,6 @@ void BatchTimingSim::load_bus_lane(std::span<std::uint64_t> input_bits,
     } else {
       input_bits[static_cast<std::size_t>(first_input + i)] &= ~lane_bit;
     }
-  }
-}
-
-void BatchTimingSim::replay_audit(std::span<const std::uint64_t> input_bits,
-                                  int lanes) {
-  if (!audit_armed()) return;
-  const auto input_nets = netlist_->input_nets();
-  for (int l = 0; l < lanes; ++l) {
-    const double settle = results_[l].output_settle_ps;
-    bool flagged = false;
-    for (const double thr : audit_thresholds_ps_) {
-      const double dist = settle > thr ? settle - thr : thr - settle;
-      if (dist <= guard_ps_) {
-        flagged = true;
-        break;
-      }
-    }
-    if (!flagged) continue;
-
-    // Rebuild the scalar state as of lane l-1, re-run lane l through the
-    // real scalar kernel, and adopt (after checking) its result.
-    state_at_lane(l - 1, replay_state_);
-    replay_sim_->install_state(replay_state_, step_base_ + l);
-    for (std::size_t i = 0; i < input_nets.size(); ++i) {
-      replay_inputs_[i] =
-          logic_from_bool(((input_bits[i] >> l) & 1u) != 0);
-    }
-    const StepResult r = replay_sim_->step(replay_inputs_);
-    ++stats_.replayed_lanes;
-    if (obs::metrics_enabled()) batch_metrics().replays.add();
-
-    bool mismatch = r.output_settle_ps != results_[l].output_settle_ps ||
-                    r.settle_ps != results_[l].settle_ps ||
-                    r.toggles != results_[l].toggles ||
-                    r.switched_cap_ff != results_[l].switched_cap_ff;
-    if (!mismatch) {
-      for (NetId n = 0; n < netlist_->num_nets(); ++n) {
-        if (replay_sim_->value(n) != lane_value(n, l)) {
-          mismatch = true;
-          break;
-        }
-      }
-    }
-    if (mismatch) {
-      ++stats_.audit_mismatches;
-      if (obs::metrics_enabled()) batch_metrics().mismatches.add();
-    }
-    // The audited lane reports the scalar numbers — identical by contract,
-    // and literally scalar-produced for anyone auditing the audit.
-    results_[l].output_settle_ps = r.output_settle_ps;
-    results_[l].settle_ps = r.settle_ps;
-    results_[l].toggles = r.toggles;
-    results_[l].switched_cap_ff = r.switched_cap_ff;
   }
 }
 

@@ -33,16 +33,15 @@
 // its delay in every lane and needs no arrival slot (docs/PERF.md, "Lane
 // slots").
 //
-// The guard-margin replay (AGINGSIM_BATCH_GUARD_PS) is therefore not a
-// correctness crutch but a *runtime self-audit*: lanes whose settled output
-// delay lands within the guard of a caller-supplied decision threshold
-// (cycle period, 2x period, ...) — exactly the lanes where a wrong bit
-// would flip an AHL/Razor decision — are re-run through a real scalar
-// TimingSim reconstructed at lane k-1 via TimingSim::install_state, and
-// the scalar result replaces (and is checked against) the lane result.
-// The replay fraction is reported in sim.batch.* metrics and the bench
-// JSON; a mismatch increments sim.batch.audit_mismatches (a tripwire that
-// stays 0).
+// Aging corners. The values, densities, toggles and switched capacitance
+// of a word do not depend on gate delays, so one simulator can time the
+// same patterns under K aging corners at once (set_corners): the sweep
+// computes the shared part once per gate and repeats only the arrival loop
+// per corner, each corner with its own arrival lanes (the same slot map,
+// K arenas) and its own settle accumulators. Each corner's per-lane
+// operation order is exactly the single-corner one, so corner c of a
+// K-corner sweep is `==` to a one-corner simulator aged by corner c
+// (docs/PERF.md, "Aging corners").
 //
 // Fault overlays keep scalar semantics: stuck-ats force both planes
 // unconditionally, transients invert exactly the lane whose global step
@@ -50,9 +49,7 @@
 // each gate's delay. Overlay/aging swaps force the next word to evaluate
 // every gate: a stuck-at can force a gate whose fanin never moves.
 
-#include <array>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -65,20 +62,22 @@
 
 namespace agingsim {
 
+/// Most aging corners one sweep times. More corners amortize the shared
+/// value sweep further, but each adds an arrival arena, a scale table and
+/// a settle accumulator. Measured on CB16/CB32, K = 16 already reaches
+/// about 86% of the per-corner throughput ceiling (3.1x of K = 1), while
+/// the state keeps growing linearly (docs/PERF.md, "Aging corners").
+/// compute_op_trace splits longer corner lists into sweeps of at most
+/// this many.
+inline constexpr int kMaxSweepCorners = 16;
+
 /// Cumulative counters for one BatchTimingSim (mirrored into the process
 /// sim.batch.* metrics when obs is enabled).
 struct BatchStats {
-  std::uint64_t words = 0;             ///< words swept
+  std::uint64_t words = 0;             ///< words swept (values, once)
+  std::uint64_t corner_words = 0;      ///< words x corners timed
   std::uint64_t lanes = 0;             ///< patterns simulated
   std::uint64_t gates_evaluated = 0;   ///< word-granular union-cone evals
-  std::uint64_t replayed_lanes = 0;    ///< lanes re-run through the scalar sim
-  std::uint64_t audit_mismatches = 0;  ///< replay disagreed (tripwire: 0)
-
-  double replay_fraction() const noexcept {
-    return lanes == 0 ? 0.0
-                      : static_cast<double>(replayed_lanes) /
-                            static_cast<double>(lanes);
-  }
 };
 
 class BatchTimingSim {
@@ -88,12 +87,20 @@ class BatchTimingSim {
   BatchTimingSim(const Netlist& netlist, const TechLibrary& tech,
                  std::span<const double> gate_delay_scale = {});
 
-  /// Replaces the aging multipliers; the next word re-evaluates every
-  /// gate.
+  /// Replaces the aging corners with the one `gate_delay_scale`; the next
+  /// word re-evaluates every gate.
   void set_aging(std::span<const double> gate_delay_scale);
+
+  /// Replaces the aging corners: one per-gate multiplier table per corner
+  /// (an empty table is the fresh circuit), 1 to kMaxSweepCorners of them
+  /// (copied). Every word is then timed under each corner; results(c)
+  /// holds corner c's lanes. The next word re-evaluates every gate.
+  void set_corners(std::span<const std::span<const double>> corners);
+  std::size_t num_corners() const noexcept { return corner_scales_.size(); }
 
   /// Installs (nullptr: removes) a fault overlay; scalar semantics, see
   /// TimingSim::set_fault_overlay. The overlay must outlive its use here.
+  /// Delay outliers apply on top of every corner.
   void set_fault_overlay(const FaultOverlay* overlay);
   const FaultOverlay* fault_overlay() const noexcept { return overlay_; }
 
@@ -102,21 +109,20 @@ class BatchTimingSim {
   /// steps() + l).
   std::int64_t steps() const noexcept { return step_base_; }
 
-  /// Arms the scalar-replay audit: a lane whose output_settle_ps lands
-  /// within `guard_ps` of any threshold is replayed through the scalar
-  /// kernel. Empty thresholds or guard_ps <= 0 disables replay (and frees
-  /// the scalar simulator). The thresholds are copied.
-  void set_timing_audit(std::span<const double> thresholds_ps,
-                        double guard_ps);
-
   /// Evaluates lanes [0, lanes) in one sweep. `input_bits` holds one word
   /// per primary input (in input order): bit l is the value that input
   /// takes on lane l. All input lanes are known 0/1 — operands come from
   /// registers, exactly like TimingSim::load_bus patterns. Returns one
-  /// StepResult per lane, each exactly what the corresponding scalar
-  /// step() would have returned; the span is valid until the next call.
+  /// StepResult per lane of corner 0, each exactly what the corresponding
+  /// scalar step() would have returned; the span is valid until the next
+  /// call.
   std::span<const StepResult> step_word(
       std::span<const std::uint64_t> input_bits, int lanes = kBatchLanes);
+
+  /// Corner `corner`'s StepResults for the lanes of the last word. Only
+  /// the settle times differ between corners. Throws std::out_of_range on
+  /// a corner past num_corners().
+  std::span<const StepResult> results(std::size_t corner) const;
 
   /// Value of `net` as it stood after lane `lane` of the last word.
   Logic lane_value(NetId net, int lane) const;
@@ -132,8 +138,9 @@ class BatchTimingSim {
 
   const BatchStats& stats() const noexcept { return stats_; }
 
-  /// Heap bytes of the per-net, per-gate and lane-slot state (excluding
-  /// the scalar audit simulator) — the memory model of docs/PERF.md.
+  /// Heap bytes of the per-net, per-gate (one table per aged corner) and
+  /// lane-slot (one arrival arena per corner) state — the memory model of
+  /// docs/PERF.md.
   std::size_t state_bytes() const noexcept;
   const Netlist& netlist() const noexcept { return *netlist_; }
 
@@ -144,12 +151,6 @@ class BatchTimingSim {
   static const char* lane_backend() noexcept;
 
  private:
-  bool audit_armed() const noexcept { return replay_sim_ != nullptr; }
-  /// Net values as of lane `lane` of the current word; lane -1 means the
-  /// state the word started from.
-  void state_at_lane(int lane, std::span<Logic> out) const;
-  void replay_audit(std::span<const std::uint64_t> input_bits, int lanes);
-
   const Netlist* netlist_;
   const TechLibrary* tech_;
   const FaultOverlay* overlay_ = nullptr;
@@ -157,7 +158,8 @@ class BatchTimingSim {
   bool force_all_ = true;       ///< next word evaluates every gate
   int last_lanes_ = 0;          ///< lanes of the most recent word
 
-  std::vector<double> aging_scale_;  // per gate (possibly empty)
+  // Per corner: per-gate aging table (empty = fresh circuit).
+  std::vector<std::vector<double>> corner_scales_;
 
   // Per-net state. A net not stamped with the current epoch did not change
   // and carried zero density in every lane of the current word; its value
@@ -171,19 +173,12 @@ class BatchTimingSim {
   // slot arenas. Read only for nets stamped with the current epoch.
   std::vector<std::uint32_t> density_slot_;     // per net
   std::vector<std::uint32_t> arrival_slot_;     // per net, or kNoArrivalSlot
+  std::uint32_t arrival_slots_ = 0;
   std::vector<std::uint64_t> changed_, active_;  // per density slot
   std::vector<float> density_;   // per density slot x kBatchLanes
-  std::vector<double> arrival_;  // per arrival slot x kBatchLanes
+  std::vector<double> arrival_;  // per arrival slot x corner x kBatchLanes
 
-  std::array<StepResult, kBatchLanes> results_{};
-
-  // Scalar-replay audit; all empty/null while the audit is disarmed.
-  std::vector<double> audit_thresholds_ps_;
-  double guard_ps_ = 0.0;
-  std::unique_ptr<TimingSim> replay_sim_;
-  std::vector<Logic> word_start_value_;  // per net: value before this word
-  std::vector<Logic> replay_state_;      // scratch: one value per net
-  std::vector<Logic> replay_inputs_;     // scratch: one value per input
+  std::vector<StepResult> results_;  // per corner x kBatchLanes
 
   BatchStats stats_;
 };

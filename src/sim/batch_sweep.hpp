@@ -30,11 +30,14 @@ inline constexpr std::uint32_t kNoArrivalSlot = ~std::uint32_t{0};
 /// net; changed/active masks and density lanes live in density slots, and
 /// arrival lanes in arrival slots, both shared by nets whose live ranges
 /// do not overlap (BatchTimingSim's lane-slot map). Lane arrays are
-/// kBatchLanes-strided.
+/// kBatchLanes-strided. Everything but the arrivals is shared by all
+/// aging corners; corner c of arrival slot s sits at (s * corners + c).
 struct SweepContext {
   const Netlist* netlist = nullptr;
   const TechLibrary* tech = nullptr;
-  const double* aging = nullptr;          // per gate; null = fresh circuit
+  /// Per corner: per-gate aging table, or null for a fresh circuit.
+  const double* const* aging = nullptr;
+  int corners = 1;
   const FaultOverlay* overlay = nullptr;  // may be null
   std::uint64_t epoch = 0;
   std::uint64_t* plane0 = nullptr;      // per net: lane-packed value bit 0
@@ -46,8 +49,8 @@ struct SweepContext {
   std::uint64_t* changed = nullptr;  // per density slot: lanes that changed
   std::uint64_t* active = nullptr;   // per density slot: changed or density
   float* density = nullptr;          // per density slot x kBatchLanes
-  double* arrival = nullptr;         // per arrival slot x kBatchLanes
-  StepResult* results = nullptr;     // kBatchLanes entries
+  double* arrival = nullptr;  // per arrival slot x corner x kBatchLanes
+  StepResult* results = nullptr;  // per corner x kBatchLanes entries
   const std::uint64_t* input_bits = nullptr;  // one word per primary input
   int lanes = 0;
   std::uint64_t lane_mask = 0;
@@ -62,14 +65,22 @@ struct SweepContext {
   std::uint64_t gates_processed = 0;  // out: gates the sweep evaluated
 };
 
-/// Gate `g`'s delay: tech x aging x fault factor, multiplied in the scalar
-/// kernel's order (TimingSim::rebuild_delays), so both kernels see the same
-/// double.
-inline double gate_delay_ps(const SweepContext& ctx, GateId g) {
+/// Gate `g`'s delay at corner `c`: tech x aging x fault factor, multiplied
+/// in the scalar kernel's order (TimingSim::rebuild_delays), so both
+/// kernels see the same double.
+inline double gate_delay_ps(const SweepContext& ctx, int c, GateId g) {
   double d = ctx.tech->delay(ctx.netlist->gate(g).kind);
-  if (ctx.aging != nullptr) d *= ctx.aging[g];
+  if (ctx.aging[c] != nullptr) d *= ctx.aging[c][g];
   if (ctx.overlay != nullptr) d *= ctx.overlay->delay_factor(g);
   return d;
+}
+
+/// Arrival lanes of corner `c` of arrival slot `slot`.
+inline double* arrival_lanes(const SweepContext& ctx, std::uint32_t slot,
+                             int c) {
+  return ctx.arrival +
+         (std::size_t(slot) * std::size_t(ctx.corners) + std::size_t(c)) *
+             kBatchLanes;
 }
 
 void run_sweep_generic(SweepContext& ctx);

@@ -98,9 +98,9 @@ class TimingSim {
 
   /// Overwrites every net value and the step counter in one call, as if the
   /// simulator had just settled `next_step_index` patterns and left the
-  /// netlist holding `net_values`. The batch kernel's guard-margin replay
-  /// uses this to reconstruct the scalar state "as of lane k-1" and re-run
-  /// lane k through this exact kernel: a step() from an installed state is
+  /// netlist holding `net_values`. A differential test uses this to start
+  /// several simulators from one state (FuzzTest.BatchKernelMultiCorner*
+  /// at a corner swap): a step() from an installed state is
   /// bit-identical to the same step in an uninterrupted scalar stream,
   /// because a step depends only on the net values, the delays, and the
   /// step index (per-step density/arrival scratch is epoch-gated, so no

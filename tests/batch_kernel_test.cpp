@@ -3,8 +3,9 @@
 // and every net value must be exactly `==` between a batch word and the 64
 // scalar steps it packs — across power-up, aging overlays, all fault kinds
 // (including transient strikes on word boundaries), mid-run overlay/aging
-// swaps, partial tail words, and the guard-margin scalar-replay audit.
-// tests/fuzz_test.cpp runs the same differential on random netlists.
+// swaps, partial tail words, and K aging corners per sweep (the
+// MultiCorner* cases). tests/fuzz_test.cpp runs the same differential on
+// random netlists.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "src/aging/scenario.hpp"
+#include "src/aging/variation.hpp"
 #include "src/core/calibration.hpp"
 #include "src/core/vl_multiplier.hpp"
 #include "src/multiplier/multiplier.hpp"
@@ -55,11 +57,6 @@ class ScopedEnv {
   std::optional<std::string> old_;
 };
 
-struct AuditKnobs {
-  std::vector<double> thresholds_ps;
-  double guard_ps = 0.0;
-};
-
 /// Drives a batch simulator word-by-word and the scalar oracle
 /// pattern-by-pattern over `ops` random operand pairs and requires
 /// bit-identical observable state after every lane: every StepResult
@@ -67,16 +64,12 @@ struct AuditKnobs {
 void expect_batch_identical(const MultiplierNetlist& m, std::size_t ops,
                             const FaultOverlay* overlay = nullptr,
                             std::span<const double> aging = {},
-                            const AuditKnobs* audit = nullptr,
                             std::uint64_t seed = 0xD1FF) {
   MultiplierSim scalar(m, test_tech(), aging);
   BatchTimingSim batch(m.netlist, test_tech(), aging);
   if (overlay != nullptr) {
     scalar.set_fault_overlay(overlay);
     batch.set_fault_overlay(overlay);
-  }
-  if (audit != nullptr) {
-    batch.set_timing_audit(audit->thresholds_ps, audit->guard_ps);
   }
 
   Rng rng(seed);
@@ -127,7 +120,6 @@ void expect_batch_identical(const MultiplierNetlist& m, std::size_t ops,
     }
   }
   EXPECT_EQ(batch.stats().lanes, ops);
-  EXPECT_EQ(batch.stats().audit_mismatches, 0u);
 }
 
 TEST(BatchKernelTest, MatchesScalarOnRandomPatterns) {
@@ -301,63 +293,10 @@ TEST(BatchKernelTest, OverlayAndAgingSwapsMidRunStayIdentical) {
   run_both(2);
 }
 
-TEST(BatchKernelTest, FullReplayAuditAgreesEverywhere) {
-  // A guard wide enough to catch every lane forces the scalar-replay path
-  // on all of them: the audit must agree lane-for-lane (the tripwire stays
-  // 0) and the adopted results still match the reference stream.
-  const MultiplierNetlist m = build_column_bypass_multiplier(16);
-  const AuditKnobs audit{.thresholds_ps = {0.0}, .guard_ps = 1e12};
-  expect_batch_identical(m, 192, nullptr, {}, &audit);
-
-  // Replay accounting: with the all-lanes guard the replayed-lane counter
-  // equals the lane counter.
-  BatchTimingSim counted(m.netlist, test_tech());
-  counted.set_timing_audit(audit.thresholds_ps, audit.guard_ps);
-  std::vector<std::uint64_t> words(m.netlist.input_nets().size());
-  Rng rng(0x5EED);
-  for (int w = 0; w < 3; ++w) {
-    std::fill(words.begin(), words.end(), 0);
-    for (int l = 0; l < kBatchLanes; ++l) {
-      counted.load_bus_lane(words, rng.next_bits(m.width), m.width,
-                            m.a_first_input, l);
-      counted.load_bus_lane(words, rng.next_bits(m.width), m.width,
-                            m.b_first_input, l);
-    }
-    counted.step_word(words);
-  }
-  EXPECT_EQ(counted.stats().replayed_lanes, counted.stats().lanes);
-  EXPECT_EQ(counted.stats().audit_mismatches, 0u);
-  EXPECT_EQ(counted.stats().replay_fraction(), 1.0);
-}
-
-TEST(BatchKernelTest, NarrowGuardReplaysOnlyBorderlineLanes) {
-  const MultiplierNetlist m = build_column_bypass_multiplier(16);
-  // Threshold at the fresh critical path: random patterns mostly settle
-  // well below it, so a narrow guard replays only a fraction of lanes.
-  const double period = critical_path_ps(m, test_tech());
-  BatchTimingSim batch(m.netlist, test_tech());
-  const std::vector<double> thresholds = {period};
-  batch.set_timing_audit(thresholds, 0.05 * period);
-  std::vector<std::uint64_t> words(m.netlist.input_nets().size());
-  Rng rng(0xCAFE);
-  for (int w = 0; w < 4; ++w) {
-    std::fill(words.begin(), words.end(), 0);
-    for (int l = 0; l < kBatchLanes; ++l) {
-      batch.load_bus_lane(words, rng.next_bits(m.width), m.width,
-                          m.a_first_input, l);
-      batch.load_bus_lane(words, rng.next_bits(m.width), m.width,
-                          m.b_first_input, l);
-    }
-    batch.step_word(words);
-  }
-  EXPECT_LT(batch.stats().replayed_lanes, batch.stats().lanes);
-  EXPECT_EQ(batch.stats().audit_mismatches, 0u);
-}
-
-TEST(BatchKernelTest, AuditCanBeArmedMidRun) {
-  // The scalar audit simulator is built only while the audit is armed.
-  // Arming it mid-run — after an aging and an overlay swap — must give it
-  // the current delays and faults, and disarming it must change nothing.
+TEST(BatchKernelTest, AgingAndOutlierInstalledMidRunMatchScalar) {
+  // An aging table and a delay-outlier overlay installed after the first
+  // word of a partial-width multiplier: every following word times with
+  // the new delays, exactly like the scalar kernel.
   const MultiplierNetlist m = build_row_bypass_multiplier(12);
   const BtiModel model = BtiModel::calibrated(test_tech());
   const AgingScenario scenario(m.netlist, test_tech(), model, 0x26F1, 200);
@@ -366,7 +305,6 @@ TEST(BatchKernelTest, AuditCanBeArmedMidRun) {
   overlay.add({.kind = FaultKind::kDelayOutlier,
                .gate = static_cast<GateId>(m.netlist.num_gates() / 2),
                .delay_factor = 3.0});
-  const std::vector<double> all_lanes = {0.0};
 
   MultiplierSim scalar(m, test_tech());
   BatchTimingSim batch(m.netlist, test_tech());
@@ -379,8 +317,6 @@ TEST(BatchKernelTest, AuditCanBeArmedMidRun) {
       scalar.set_fault_overlay(&overlay);
       batch.set_fault_overlay(&overlay);
     }
-    if (w == 2) batch.set_timing_audit(all_lanes, 1e12);
-    if (w == 4) batch.set_timing_audit({}, 0.0);
     std::vector<std::uint64_t> a_ops(kBatchLanes), b_ops(kBatchLanes);
     for (int l = 0; l < kBatchLanes; ++l) {
       a_ops[static_cast<std::size_t>(l)] = rng.next_bits(m.width);
@@ -400,8 +336,6 @@ TEST(BatchKernelTest, AuditCanBeArmedMidRun) {
       ASSERT_EQ(scalar.product(), batch.output_bits(l)) << "word " << w;
     }
   }
-  EXPECT_EQ(batch.stats().replayed_lanes, 2u * kBatchLanes);
-  EXPECT_EQ(batch.stats().audit_mismatches, 0u);
 }
 
 TEST(BatchKernelTest, RepeatedOperandsEvaluateNothing) {
@@ -442,8 +376,8 @@ TEST(BatchKernelTest, LaneStateIsSizedByLiveRange) {
 }
 
 TEST(BatchKernelTest, InstallStateReproducesUninterruptedScalarStream) {
-  // The primitive the replay audit rests on: install_state() + one step must
-  // be bit-identical to the same step of an uninterrupted scalar run.
+  // install_state() + one step must be bit-identical to the same step of an
+  // uninterrupted scalar run.
   const MultiplierNetlist m = build_row_bypass_multiplier(12);
   MultiplierSim reference(m, test_tech());
   Rng rng(0xBEEF);
@@ -536,7 +470,6 @@ TEST(BatchKernelTest, TraceEqualityAcrossKernels) {
         BatchStats stats;
         const TraceOptions opts{.gate_delay_scale = aging,
                                 .faults = faults,
-                                .batch_guard_ps = 0.0,  // audit off
                                 .batch_stats = &stats};
         const auto batch_trace =
             compute_op_trace(m, test_tech(), patterns, opts);
@@ -548,24 +481,219 @@ TEST(BatchKernelTest, TraceEqualityAcrossKernels) {
   }
 }
 
-TEST(BatchKernelTest, TraceWithGuardedAuditStaysIdentical) {
-  // Trace path with the audit armed around a realistic decision threshold:
-  // replayed lanes adopt the scalar numbers, which must change nothing.
-  const MultiplierNetlist m = build_column_bypass_multiplier(16);
-  Rng pattern_rng(0x9A9A);
-  const auto patterns = uniform_patterns(pattern_rng, m.width, 150);
-  const double period = 0.55 * critical_path_ps(m, test_tech());
-  const std::vector<double> thresholds = {period, 2.0 * period};
+// ---------------------------------------------------------------------------
+// K aging corners per sweep: corner c of a K-corner trace must be `==` to a
+// one-corner trace under corner c, and so to the dense scalar oracle, for
+// every K — including K past kMaxSweepCorners, which compute_op_trace
+// splits into several sweeps.
+// ---------------------------------------------------------------------------
 
-  const auto reference = compute_op_trace(m, test_tech(), patterns,
-                                          TraceOptions{});
-  BatchStats stats;
-  TraceOptions opts{.timing_audit_thresholds_ps = thresholds,
-                    .batch_guard_ps = 0.02 * period,
-                    .batch_stats = &stats};
-  const auto audited = compute_op_trace(m, test_tech(), patterns, opts);
-  EXPECT_EQ(reference, audited);
-  EXPECT_EQ(stats.audit_mismatches, 0u);
+/// Distinct corner tables of `m`: fresh, two BTI years and a process-
+/// variation die.
+std::vector<std::vector<double>> corner_pool(const MultiplierNetlist& m) {
+  const BtiModel model = BtiModel::calibrated(test_tech());
+  const AgingScenario scenario(m.netlist, test_tech(), model, 0x26F1, 200);
+  return {{},
+          scenario.delay_scales_at(3.0),
+          scenario.delay_scales_at(7.0),
+          process_variation_scales(m.netlist, 0.08, 0xC0)};
+}
+
+/// Overlays for the multi-corner differential: none, stuck-ats, transient
+/// strikes (every tri-state, so struck keepers hold their flip, plus word
+/// boundary lanes) and a delay outlier.
+std::vector<FaultOverlay> corner_overlays(const MultiplierNetlist& m) {
+  const std::size_t g = m.netlist.num_gates();
+  std::vector<FaultOverlay> overlays(4, FaultOverlay(g));
+  overlays[1].add(
+      {.kind = FaultKind::kStuckAt0, .gate = static_cast<GateId>(g / 3)});
+  overlays[1].add(
+      {.kind = FaultKind::kStuckAt1, .gate = static_cast<GateId>(2 * g / 3)});
+  std::int64_t cycle = 5;
+  for (GateId gate = 0; gate < g; ++gate) {
+    if (m.netlist.gate(gate).kind != CellKind::kTbuf) continue;
+    overlays[2].add(
+        {.kind = FaultKind::kTransient, .gate = gate, .cycle = cycle});
+    cycle = 5 + (cycle + 7) % 110;
+  }
+  for (const std::int64_t c : {0, 63, 64, 100}) {
+    overlays[2].add({.kind = FaultKind::kTransient,
+                     .gate = static_cast<GateId>(g / 2 + c % (g / 4)),
+                     .cycle = c});
+  }
+  overlays[3].add({.kind = FaultKind::kDelayOutlier,
+                   .gate = static_cast<GateId>(g - 10),
+                   .delay_factor = 4.0});
+  return overlays;
+}
+
+/// For each K, three corner lists over `pool` — all fresh, all aged, and
+/// mixed fresh/aged — traced in one call each; corner c must equal the
+/// one-corner trace of its table, which must equal the dense oracle's.
+void expect_multi_corner_identical(const MultiplierNetlist& m,
+                                   const FaultOverlay* faults) {
+  const std::size_t ops = 130;  // two full words and a 2-lane tail
+  Rng pattern_rng(0x3C0E);
+  const auto patterns = uniform_patterns(pattern_rng, m.width, ops);
+  const std::vector<std::vector<double>> pool = corner_pool(m);
+  std::vector<std::vector<OpTrace>> single;
+  for (const std::vector<double>& table : pool) {
+    single.push_back(compute_op_trace(
+        m, test_tech(), patterns,
+        TraceOptions{.gate_delay_scale = table, .faults = faults}));
+    ASSERT_EQ(single.back(), dense_trace(m, patterns, table, faults));
+  }
+  const std::size_t words = (ops + kBatchLanes - 1) / kBatchLanes;
+  for (const std::size_t k :
+       {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{16},
+        static_cast<std::size_t>(kMaxSweepCorners) + 1}) {
+    for (const char* mix : {"fresh", "aged", "mixed"}) {
+      SCOPED_TRACE(testing::Message() << "K " << k << ", " << mix);
+      std::vector<std::size_t> table_of(k);
+      for (std::size_t c = 0; c < k; ++c) {
+        table_of[c] = mix[0] == 'f'   ? 0
+                      : mix[0] == 'a' ? 1 + c % (pool.size() - 1)
+                                      : (c * 3 + 1) % pool.size();
+      }
+      std::vector<std::span<const double>> corners;
+      for (const std::size_t t : table_of) corners.emplace_back(pool[t]);
+      BatchStats stats;
+      const auto traces = compute_op_trace(
+          m, test_tech(), patterns, corners,
+          TraceOptions{.faults = faults, .batch_stats = &stats});
+      ASSERT_EQ(traces.size(), k);
+      for (std::size_t c = 0; c < k; ++c) {
+        ASSERT_EQ(traces[c], single[table_of[c]]) << "corner " << c;
+      }
+      const std::size_t sweeps =
+          (k + kMaxSweepCorners - 1) / kMaxSweepCorners;
+      EXPECT_EQ(stats.words, sweeps * words);
+      EXPECT_EQ(stats.corner_words, k * words);
+      EXPECT_EQ(stats.lanes, sweeps * ops);
+    }
+  }
+}
+
+TEST(BatchKernelTest, MultiCornerTracesMatchSingleCornerAndDense) {
+  for (const auto arch :
+       {MultiplierArch::kArray, MultiplierArch::kColumnBypass,
+        MultiplierArch::kRowBypass, MultiplierArch::kWallaceTree}) {
+    for (const int width : {8, 16}) {
+      SCOPED_TRACE(testing::Message() << arch_name(arch) << width);
+      expect_multi_corner_identical(build_multiplier(arch, width), nullptr);
+    }
+  }
+}
+
+TEST(BatchKernelTest, MultiCornerTracesMatchDenseUnderFaults) {
+  for (const auto arch :
+       {MultiplierArch::kArray, MultiplierArch::kColumnBypass,
+        MultiplierArch::kRowBypass, MultiplierArch::kWallaceTree}) {
+    for (const int width : {8, 16}) {
+      const MultiplierNetlist m = build_multiplier(arch, width);
+      const std::vector<FaultOverlay> overlays = corner_overlays(m);
+      for (std::size_t o = 1; o < overlays.size(); ++o) {
+        SCOPED_TRACE(testing::Message()
+                     << arch_name(arch) << width << ", overlay " << o);
+        expect_multi_corner_identical(m, &overlays[o]);
+      }
+    }
+  }
+}
+
+TEST(BatchKernelTest, MultiCornerWordsMatchOneSimPerCorner) {
+  // Word level, with the corner set swapped mid-run (K = 3, then 1, then
+  // kMaxSweepCorners): every corner's lanes equal a one-corner simulator's,
+  // and the shared values equal every one of them.
+  const MultiplierNetlist m = build_column_bypass_multiplier(16);
+  const std::vector<std::vector<double>> pool = corner_pool(m);
+  BatchTimingSim multi(m.netlist, test_tech());
+  std::vector<BatchTimingSim> singles;
+  for (std::size_t t = 0; t < pool.size(); ++t) {
+    singles.emplace_back(m.netlist, test_tech(), pool[t]);
+  }
+  Rng rng(0x0C0E);
+  std::vector<std::uint64_t> words(m.netlist.input_nets().size());
+  std::uint64_t corner_words = 0;
+  for (const std::size_t k :
+       {std::size_t{3}, std::size_t{1},
+        static_cast<std::size_t>(kMaxSweepCorners)}) {
+    std::vector<std::span<const double>> corners;
+    for (std::size_t c = 0; c < k; ++c) {
+      corners.emplace_back(pool[(c + 1) % pool.size()]);
+    }
+    multi.set_corners(corners);
+    ASSERT_EQ(multi.num_corners(), k);
+    for (int w = 0; w < 2; ++w) {
+      const int lanes = w == 0 ? kBatchLanes : 37;
+      for (int l = 0; l < lanes; ++l) {
+        multi.load_bus_lane(words, rng.next_bits(m.width), m.width,
+                            m.a_first_input, l);
+        multi.load_bus_lane(words, rng.next_bits(m.width), m.width,
+                            m.b_first_input, l);
+      }
+      multi.step_word(words, lanes);
+      corner_words += k;
+      for (BatchTimingSim& single : singles) single.step_word(words, lanes);
+      for (std::size_t c = 0; c < k; ++c) {
+        const std::span<const StepResult> got = multi.results(c);
+        const std::span<const StepResult> want =
+            singles[(c + 1) % pool.size()].results(0);
+        ASSERT_EQ(got.size(), static_cast<std::size_t>(lanes));
+        for (int l = 0; l < lanes; ++l) {
+          const StepResult& g = got[static_cast<std::size_t>(l)];
+          const StepResult& s = want[static_cast<std::size_t>(l)];
+          ASSERT_EQ(g.output_settle_ps, s.output_settle_ps)
+              << "K " << k << " corner " << c << " lane " << l;
+          ASSERT_EQ(g.settle_ps, s.settle_ps);
+          ASSERT_EQ(g.toggles, s.toggles);
+          ASSERT_EQ(g.switched_cap_ff, s.switched_cap_ff);
+        }
+      }
+      for (NetId n = 0; n < m.netlist.num_nets(); ++n) {
+        ASSERT_EQ(multi.lane_value(n, lanes - 1),
+                  singles[0].lane_value(n, lanes - 1));
+      }
+    }
+  }
+  EXPECT_EQ(multi.stats().corner_words, corner_words);
+  EXPECT_EQ(multi.stats().words, 6u);
+}
+
+TEST(BatchKernelTest, MultiCornerRejectsMalformedCorners) {
+  const MultiplierNetlist m = build_column_bypass_multiplier(8);
+  Rng rng(0xBAD);
+  const auto patterns = uniform_patterns(rng, m.width, 70);
+  const std::vector<double> good(m.netlist.num_gates(), 1.1);
+  const std::vector<double> wrong(m.netlist.num_gates() - 1, 1.1);
+  const std::vector<std::span<const double>> corners = {
+      std::span<const double>{}, good, wrong};
+  EXPECT_THROW(compute_op_trace(m, test_tech(), patterns, corners),
+               std::invalid_argument);
+  // Past the cap the wrong table sits in the second sweep; still rejected.
+  std::vector<std::span<const double>> long_list(
+      static_cast<std::size_t>(kMaxSweepCorners), good);
+  long_list.emplace_back(wrong);
+  EXPECT_THROW(compute_op_trace(m, test_tech(), patterns, long_list),
+               std::invalid_argument);
+  // The corners replace TraceOptions' one aging table.
+  EXPECT_THROW(compute_op_trace(m, test_tech(), patterns,
+                                std::span(corners).first(2),
+                                TraceOptions{.gate_delay_scale = good}),
+               std::invalid_argument);
+  EXPECT_TRUE(compute_op_trace(m, test_tech(), patterns,
+                               std::span<const std::span<const double>>{})
+                  .empty());
+
+  BatchTimingSim sim(m.netlist, test_tech());
+  EXPECT_THROW(sim.set_corners({}), std::invalid_argument);
+  std::vector<std::span<const double>> too_many(
+      static_cast<std::size_t>(kMaxSweepCorners) + 1);
+  EXPECT_THROW(sim.set_corners(too_many), std::invalid_argument);
+  EXPECT_THROW(sim.set_corners(std::span(corners).subspan(2)),
+               std::invalid_argument);
+  EXPECT_EQ(sim.num_corners(), 1u);
+  EXPECT_THROW((void)sim.results(1), std::out_of_range);
 }
 
 TEST(BatchKernelTest, KernelEnvResolution) {

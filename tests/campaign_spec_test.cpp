@@ -219,6 +219,13 @@ TEST(CampaignSpecTest, ServiceRejectsWrongKindedMembers) {
       R"({"arch": "all"})",
       R"({"trials": 5000})",      // past ServiceLimits::max_trials
       R"({"ops": 200001})",       // past ServiceLimits::max_ops
+      R"({"stream": "yes"})",     // the daemon-only members, just as strict
+      R"({"checkpoint": 1})",
+      R"({"stream_every": 2.5})",
+      R"({"stream_every": "2"})",
+      R"({"resume_cursor": {"digest": 7, "unit_index": 0}})",
+      R"({"resume_cursor": {"digest": "00", "unit_index": 1.5}})",
+      R"({"resume_cursor": {"digest": "00", "unit_index": "1"}})",
   };
   // agingd's query params are read as strictly: no member silently falls
   // back to its default.
@@ -227,6 +234,10 @@ TEST(CampaignSpecTest, ServiceRejectsWrongKindedMembers) {
       R"({"width": 8.5})",
       R"({"adaptive": 1})",
       R"({"seed": -1})",
+  };
+  const char* bad_work[] = {
+      R"({"spin_us": "5"})",
+      R"({"spin_us": 2.5})",
   };
   const auto expect_bad_request = [](const serve::HandlerResult& result,
                                      const char* params) {
@@ -239,6 +250,9 @@ TEST(CampaignSpecTest, ServiceRejectsWrongKindedMembers) {
   }
   for (const char* params : bad_query) {
     expect_bad_request(service_request(params, "query"), params);
+  }
+  for (const char* params : bad_work) {
+    expect_bad_request(service_request(params, "work"), params);
   }
 }
 

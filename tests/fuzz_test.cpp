@@ -301,6 +301,135 @@ TEST(FuzzTest, BatchKernelMatchesDenseOnRandomNetlists) {
   EXPECT_GT(keepers_holding_x, 0);
 }
 
+/// Random aging corners for `nl`: 1 to kMaxSweepCorners tables, about a
+/// third of them fresh (empty).
+std::vector<std::vector<double>> random_corners(Rng& rng, const Netlist& nl) {
+  std::vector<std::vector<double>> tables(
+      1 + rng.next_below(static_cast<std::uint64_t>(kMaxSweepCorners)));
+  for (std::vector<double>& t : tables) {
+    if (rng.next_below(3) == 0) continue;
+    t.resize(nl.num_gates());
+    for (double& x : t) x = 1.0 + 0.5 * rng.next_double();
+  }
+  return tables;
+}
+
+/// Steps `batch` (one corner per entry of `dense`) one word of `lanes`
+/// random patterns and each dense simulator through the same patterns;
+/// every corner's StepResult fields and the shared net values must match
+/// exactly. Returns false on a mismatch.
+bool step_corners(Rng& rng, BatchTimingSim& batch,
+                  std::vector<TimingSim>& dense, int lanes) {
+  const Netlist& nl = batch.netlist();
+  std::vector<std::uint64_t> words(nl.num_inputs());
+  for (auto& w : words) w = rng.next();
+  batch.step_word(words, lanes);
+  std::vector<Logic> pattern(nl.num_inputs());
+  for (int l = 0; l < lanes; ++l) {
+    for (std::size_t i = 0; i < pattern.size(); ++i) {
+      pattern[i] = logic_from_bool(((words[i] >> l) & 1u) != 0);
+    }
+    for (std::size_t c = 0; c < dense.size(); ++c) {
+      const StepResult d = dense[c].step(pattern);
+      const StepResult& b = batch.results(c)[static_cast<std::size_t>(l)];
+      EXPECT_EQ(d.output_settle_ps, b.output_settle_ps)
+          << "corner " << c << " lane " << l;
+      EXPECT_EQ(d.settle_ps, b.settle_ps) << "corner " << c << " lane " << l;
+      EXPECT_EQ(d.toggles, b.toggles) << "corner " << c << " lane " << l;
+      EXPECT_EQ(d.switched_cap_ff, b.switched_cap_ff)
+          << "corner " << c << " lane " << l;
+      if (testing::Test::HasFailure()) return false;
+    }
+    for (NetId n = 0; n < nl.num_nets(); ++n) {
+      if (dense[0].value(n) != batch.lane_value(n, l)) {
+        ADD_FAILURE() << "net " << n << " lane " << l;
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+/// One dense TimingSim per corner table.
+std::vector<TimingSim> dense_per_corner(
+    const Netlist& nl, const std::vector<std::vector<double>>& tables) {
+  std::vector<TimingSim> dense;
+  for (const std::vector<double>& t : tables) {
+    dense.emplace_back(nl, default_tech_library(), t);
+  }
+  return dense;
+}
+
+// The K-corner sweep on the random netlists (tie cells, tri-states, unread
+// nets): every corner equals its own dense simulator, with and without a
+// random overlay of every fault kind.
+TEST(FuzzTest, BatchKernelMultiCornerMatchesDenseOnRandomNetlists) {
+  Rng rng(0xF02D);
+  for (int trial = 0; trial < 40; ++trial) {
+    const Netlist nl = differential_netlist(rng, 7, 90);
+    const std::vector<std::vector<double>> tables = random_corners(rng, nl);
+    const std::vector<std::span<const double>> corners(tables.begin(),
+                                                       tables.end());
+    BatchTimingSim batch(nl, default_tech_library());
+    batch.set_corners(corners);
+    std::vector<TimingSim> dense = dense_per_corner(nl, tables);
+    const FaultOverlay overlay = random_overlay(rng, nl, 0, 4 * kBatchLanes);
+    if (trial % 2 == 1) {
+      batch.set_fault_overlay(&overlay);
+      for (TimingSim& d : dense) d.set_fault_overlay(&overlay);
+    }
+    for (int word = 0; word < 4; ++word) {
+      const int lanes = word < 3 ? kBatchLanes
+                                 : 1 + static_cast<int>(rng.next_below(63));
+      ASSERT_TRUE(step_corners(rng, batch, dense, lanes))
+          << "trial " << trial << " K " << tables.size() << " word " << word;
+    }
+  }
+}
+
+// Corner sets swapped mid-run (K changes, fresh and aged mixed) together
+// with overlay swaps: values carry across the swap, arrivals restart.
+TEST(FuzzTest, BatchKernelMultiCornerAcrossCornerSwaps) {
+  Rng rng(0xF02E);
+  for (int trial = 0; trial < 30; ++trial) {
+    const Netlist nl = differential_netlist(rng, 6, 80);
+    BatchTimingSim batch(nl, default_tech_library());
+    // The dense simulators only need to agree on values at a swap, so each
+    // new corner set restarts from one dense simulator's state.
+    TimingSim values(nl, default_tech_library());
+    std::vector<std::unique_ptr<FaultOverlay>> overlays;
+    const FaultOverlay* overlay = nullptr;
+    for (int segment = 0; segment < 4; ++segment) {
+      const std::vector<std::vector<double>> tables = random_corners(rng, nl);
+      const std::vector<std::span<const double>> corners(tables.begin(),
+                                                         tables.end());
+      batch.set_corners(corners);
+      if (rng.next_below(2) == 0) {
+        overlays.push_back(std::make_unique<FaultOverlay>(
+            random_overlay(rng, nl, values.steps(), 2 * kBatchLanes)));
+        overlay = overlays.back().get();
+      } else if (rng.next_below(2) == 0) {
+        overlay = nullptr;
+      }
+      batch.set_fault_overlay(overlay);
+      std::vector<TimingSim> dense = dense_per_corner(nl, tables);
+      std::vector<Logic> state(nl.num_nets());
+      for (NetId n = 0; n < nl.num_nets(); ++n) state[n] = values.value(n);
+      for (TimingSim& d : dense) {
+        d.install_state(state, values.steps());
+        d.set_fault_overlay(overlay);
+      }
+      for (int word = 0; word < 2; ++word) {
+        const int lanes = 1 + static_cast<int>(rng.next_below(kBatchLanes));
+        ASSERT_TRUE(step_corners(rng, batch, dense, lanes))
+            << "trial " << trial << " segment " << segment << " word "
+            << word;
+      }
+      values = std::move(dense[0]);
+    }
+  }
+}
+
 // StaEngine against the scalar reference (tests/sta_oracle.hpp) on the
 // differential netlists: tie cells (no fanin), tri-states, unread nets and
 // primary inputs as outputs. Several corners per run — fresh, aged and one

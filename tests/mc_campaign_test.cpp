@@ -78,6 +78,40 @@ TEST(McCampaignTest, JsonIsByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(json1, json8);
 }
 
+TEST(McCampaignTest, JsonIsByteIdenticalAcrossBlockSizesAndThreads) {
+  // A seed block traces all its (trial, year) overlays as the aging corners
+  // of one sweep, so the block size decides how corners are grouped into
+  // sweeps — and must decide nothing else. The JSON echoes the configured
+  // block, so every result is written under the block-1 config.
+  McCampaignConfig cfg = small_config();
+  cfg.years = {0.0, 3.0, 7.0};  // block 8 x 3 years spans two sweeps
+  std::string reference;
+  std::vector<McTrialRecord> reference_records;
+  for (const int block : {1, 3, 8}) {
+    cfg.block = block;
+    const McCampaign campaign(bench::tech(), cfg);
+    for (const char* threads : {"1", "8"}) {
+      SCOPED_TRACE(testing::Message()
+                   << "block " << block << ", threads " << threads);
+      ScopedThreadsEnv scoped(threads);
+      const McResult result = campaign.run();
+      McCampaignConfig written = cfg;
+      written.block = 1;
+      JsonWriter json;
+      json.begin_object();
+      write_mc_json(json, written, result, McReportOptions{});
+      json.end_object();
+      if (reference.empty()) {
+        reference = json.str();
+        reference_records = result.arches[0].records;
+        continue;
+      }
+      EXPECT_EQ(result.arches[0].records, reference_records);
+      EXPECT_EQ(json.str(), reference);
+    }
+  }
+}
+
 TEST(McCampaignTest, RobustRunnerMatchesPlainPath) {
   const McCampaign campaign(bench::tech(), small_config());
   const std::string plain = campaign_json(campaign, campaign.run());

@@ -15,7 +15,6 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <optional>
@@ -84,8 +83,6 @@ void print_usage(std::ostream& os) {
         "                       [$AGINGSIM_SERVE_MAX_INFLIGHT or 32]\n"
         "  --checkpoint-dir D   campaign checkpoint root"
         " [$AGINGSIM_SERVE_CHECKPOINT_DIR or none]\n"
-        "  --batch-guard-ps F   batch-kernel scalar-replay guard margin in\n"
-        "                       ps [$AGINGSIM_BATCH_GUARD_PS or 0 = off]\n"
         "  --trace PATH         write a Chrome trace-event file on exit\n"
         "  --metrics PATH       write a metrics JSON snapshot on exit\n"
         "  --quiet              suppress startup/drain notes on stderr\n"
@@ -120,7 +117,6 @@ std::optional<Options> parse_args(int argc, char** argv, int& exit_code) {
   opt.server.max_inflight_per_conn = static_cast<std::uint32_t>(
       env::long_or("AGINGSIM_SERVE_MAX_INFLIGHT", 32, 0, 1 << 20));
 
-  double batch_guard_ps = 0.0;
   serve::ServerConfig& server = opt.server;
   cli::Flags flags;
   flags.switches = {{"--quiet", [&] { opt.quiet = true; }}};
@@ -145,12 +141,6 @@ std::optional<Options> parse_args(int argc, char** argv, int& exit_code) {
       {"--idle-timeout-ms", cli::integer(0, server.idle_timeout_ms)},
       {"--max-inflight", cli::integer(0, server.max_inflight_per_conn)},
       {"--checkpoint-dir", cli::text(server.service.checkpoint_root)},
-      {"--batch-guard-ps",
-       [&](const std::string& v) {
-         std::string error = cli::number(0.0, batch_guard_ps)(v);
-         if (error.empty()) ::setenv("AGINGSIM_BATCH_GUARD_PS", v.c_str(), 1);
-         return error;
-       }},
       {"--trace", cli::text(opt.trace_path)},
       {"--metrics", cli::text(opt.metrics_path)},
   };

@@ -175,8 +175,6 @@ void print_usage(std::ostream& os) {
         "  --backoff-ms N     base backoff before the first retry [25]\n"
         "  --chaos SPEC       seed:rate[:actions], actions in [tpsc]\n"
         "                     (overrides AGINGSIM_CHAOS)\n"
-        "  --batch-guard-ps F batch-kernel scalar-replay guard margin in ps\n"
-        "                     (overrides AGINGSIM_BATCH_GUARD_PS) [0 = off]\n"
         "  --json PATH        write campaign JSON to PATH ('-' = stdout)\n"
         "  --trace PATH       record spans, write a Chrome trace-event\n"
         "                     file to PATH (chrome://tracing, Perfetto)\n"
@@ -220,7 +218,6 @@ std::optional<std::vector<double>> parse_years(const std::string& spec) {
 
 std::optional<Options> parse_args(int argc, char** argv, int& exit_code) {
   Options opt;
-  double batch_guard_ps = 0.0;
   cli::Flags flags;
   flags.switches = {{"--resume", [&] { opt.resume = true; }},
                     {"--quiet", [&] { opt.quiet = true; }}};
@@ -235,12 +232,6 @@ std::optional<Options> parse_args(int argc, char** argv, int& exit_code) {
          }
          opt.years = v;
          return {};
-       }},
-      {"--batch-guard-ps",
-       [&](const std::string& v) {
-         std::string error = cli::number(0.0, batch_guard_ps)(v);
-         if (error.empty()) ::setenv("AGINGSIM_BATCH_GUARD_PS", v.c_str(), 1);
-         return error;
        }},
       {"--sweep-points", cli::integer(1, opt.sweep_points)},
       {"--block", cli::integer(1, opt.block)},
